@@ -1,10 +1,10 @@
 """Benchmark: columnar vs object vote path through pipeline Steps 1-3.
 
-Runs the full inference pipeline twice on identical vote sets — once
-with ``vote_path="columnar"`` (dense matrices end to end) and once with
-``vote_path="object"`` (the per-edge ``PreferenceGraph`` compatibility
-path) — and writes ``BENCH_pipeline.json`` at the repo root with
-per-step wall times for both paths at each size.
+Runs Steps 1-4 twice on identical vote sets — once through
+``RankingPipeline`` (the columnar kernels: dense matrices end to end)
+and once through the per-edge ``PreferenceGraph`` oracle in
+``tests/oracles/object_path.py`` — and writes ``BENCH_pipeline.json``
+at the repo root with per-step wall times for both paths at each size.
 
 The speedup metric is the Steps 1-3 sum (truth discovery + smoothing +
 propagation); Step 4's search is excluded — it consumes the same dense
@@ -29,6 +29,7 @@ import datetime
 import json
 import os
 import platform
+import sys
 from pathlib import Path
 from typing import Dict, List
 
@@ -39,6 +40,11 @@ from repro.inference import RankingPipeline
 from repro.types import VoteSet
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+# The object path is a test oracle; make ``tests`` importable when this
+# file runs as a script.
+sys.path.insert(0, str(REPO_ROOT))
+
+from tests.oracles.object_path import run_object_pipeline  # noqa: E402
 
 #: Votes per compared pair.  Kept <= 8 on purpose: per-edge vote means
 #: in the columnar smoothing kernel accumulate via ``np.bincount``,
@@ -65,9 +71,11 @@ def run_path(votes: VoteSet, vote_path: str, seed: int,
     config = PipelineConfig(
         saps=SAPSConfig(iterations=iterations, restarts=1,
                         scale_with_objects=False),
-        vote_path=vote_path,
     )
-    result = RankingPipeline(config).run(fresh, rng=seed)
+    if vote_path == "columnar":
+        result = RankingPipeline(config).run(fresh, rng=seed)
+    else:
+        result = run_object_pipeline(fresh, config, rng=seed)
     return {
         "step_seconds": {k: round(v, 4)
                          for k, v in result.step_seconds.items()},

@@ -8,11 +8,10 @@ restarts) — so later PRs can track kernel performance and catch any
 divergence between the two implementations.
 
 A second sweep runs one heavy 4-restart workload per size on each
-execution backend (serial / thread / process) and records the
-process-vs-thread speedup: the annealing kernel is pure Python, so
-threads are GIL-bound and the process backend is where parallel
-restarts actually scale.  Rankings must stay bit-identical across
-backends.
+execution backend (serial / process) and records the process-vs-serial
+speedup: the annealing kernel is pure Python, so the process backend is
+where parallel restarts actually scale.  Rankings must stay
+bit-identical across backends.
 
 ``--smoke`` runs a tiny configuration with ``debug_checks`` on (the
 incremental kernel asserts running-cost == full re-sum after every
@@ -115,25 +114,23 @@ def bench_size(n: int, iterations: int, restarts: int, seed: int,
 def backend_sweep(n: int, iterations: int, seed: int) -> Dict[str, object]:
     """One annealing workload (4 restarts) on each execution backend.
 
-    The annealing kernel is pure Python, so the thread backend is
-    GIL-bound (~serial wall time) and the process backend is where the
-    multi-core speedup lives; ``process_vs_thread_speedup`` records it.
-    Rankings must be bit-identical across all three — the backends are
-    a performance knob, never a results knob.
+    The annealing kernel is pure Python, so the process backend is
+    where the multi-core speedup lives; ``process_vs_serial_speedup``
+    records it.  Rankings must be bit-identical on both — the backends
+    are a performance knob, never a results knob.
     """
     matrix = random_closure(n, seed=n)
     runs = {}
-    for backend in ("serial", "thread", "process"):
+    for backend in ("serial", "process"):
         config = SAPSConfig(
             iterations=iterations, restarts=4, scale_with_objects=False,
             kernel="incremental", parallel_restarts=4, backend=backend,
         )
         runs[backend] = run_kernel(matrix, config, seed)
-    identical = all(
-        runs[backend]["ranking"] == runs["serial"]["ranking"]
-        and runs[backend]["log_preference"]
+    identical = (
+        runs["process"]["ranking"] == runs["serial"]["ranking"]
+        and runs["process"]["log_preference"]
         == runs["serial"]["log_preference"]
-        for backend in ("thread", "process")
     )
     return {
         "n": n,
@@ -145,11 +142,11 @@ def backend_sweep(n: int, iterations: int, seed: int) -> Dict[str, object]:
                       "proposals_per_s": run["proposals_per_s"]}
             for backend, run in runs.items()
         },
-        "process_vs_thread_speedup": round(
-            runs["thread"]["seconds"] / runs["process"]["seconds"], 2),
+        "process_vs_serial_speedup": round(
+            runs["serial"]["seconds"] / runs["process"]["seconds"], 2),
         "identical_rankings": identical,
         # The speedup is bounded by physical parallelism: on a 1-core
-        # host process == thread == serial (all pay the same CPU), and
+        # host process == serial (both pay the same CPU), and
         # the number only becomes a multi-core scaling signal when
         # cpu_count > 1.
         "cpu_count": os.cpu_count(),
@@ -222,8 +219,8 @@ def main() -> int:
         print(f"n={n} backends: "
               + ", ".join(f"{name} {info['seconds']}s"
                           for name, info in backends.items())
-              + f" -> process {sweep['process_vs_thread_speedup']}x "
-                f"vs thread, identical={sweep['identical_rankings']}")
+              + f" -> process {sweep['process_vs_serial_speedup']}x "
+                f"vs serial, identical={sweep['identical_rankings']}")
         if not sweep["identical_rankings"]:
             failures.append(f"n={n}: backends disagree on the ranking")
 

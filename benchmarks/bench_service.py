@@ -9,7 +9,7 @@ and cache hit-rate per mode, so later PRs can track the serving
 overhead and tail latency over time.
 
 A backend sweep repeats both modes once per execution backend
-(serial / thread / process) and records each one's p95 — the cost of
+(serial / process) and records each one's p95 — the cost of
 pool overhead and the benefit of process isolation, measured at the
 same workload.
 
@@ -441,7 +441,7 @@ def main() -> int:
     # overhead) and buys (multi-core isolation) in p95 terms.
     executor_backends: Dict[str, Dict[str, object]] = {}
     server_backends: Dict[str, Dict[str, object]] = {}
-    for backend in ("serial", "thread", "process"):
+    for backend in ("serial", "process"):
         print(f"backend sweep [{backend}] ...")
         executor_backends[backend] = bench_executor(
             jobs, args.workers, backend=backend)

@@ -86,14 +86,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help=argparse.SUPPRESS)
     # Shared by every command that fans work out (rank, simulate, batch,
     # serve): where that work runs.  None defers to $REPRO_BACKEND, then
-    # "thread".
+    # "serial".
     backend_parent = argparse.ArgumentParser(add_help=False)
     backend_parent.add_argument(
         "--backend", choices=list(BACKEND_CHOICES), default=None,
-        help="execution backend for parallel work: 'serial' (inline "
-             "oracle), 'thread' (shared-memory pool), or 'process' "
-             "(multi-core with crash isolation). Default: "
-             "$REPRO_BACKEND, then 'thread'")
+        help="execution backend for parallel work: 'serial' (inline) "
+             "or 'process' (multi-core with crash isolation). Default: "
+             "$REPRO_BACKEND, then 'serial'")
     commands = parser.add_subparsers(dest="command", required=True)
 
     rank = commands.add_parser(

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .exceptions import ConfigurationError
+from .workers.backends import BACKEND_CHOICES
 
 
 @dataclass(frozen=True)
@@ -195,13 +196,12 @@ class SAPSConfig:
         produce bit-identical best paths for the same seed; the knob
         only changes wall-clock scheduling, never results.
     backend:
-        Execution backend for the restart loop: ``"serial"``,
-        ``"thread"`` or ``"process"`` (see
-        :mod:`repro.workers.backends`).  ``None`` (default) defers to
-        the ``REPRO_BACKEND`` environment variable, then ``"thread"``.
-        The annealing kernel is pure Python, so only ``"process"``
-        escapes the GIL and uses multiple cores; results are
-        bit-identical across all three for the same seed.
+        Execution backend for the restart loop: ``"serial"`` or
+        ``"process"`` (see :mod:`repro.workers.backends`).  ``None``
+        (default) defers to the ``REPRO_BACKEND`` environment variable,
+        then ``"serial"``.  The annealing kernel is pure Python, so only
+        ``"process"`` uses multiple cores; results are bit-identical on
+        both for the same seed.
     kernel:
         Move-evaluation strategy: ``"incremental"`` (default) computes
         each proposal's ``d(P') - d(P)`` from the O(1)-O(k) boundary
@@ -253,10 +253,9 @@ class SAPSConfig:
             )
         if self.parallel_restarts < 1:
             raise ConfigurationError("parallel_restarts must be >= 1")
-        if self.backend is not None and \
-                self.backend not in ("serial", "thread", "process"):
+        if self.backend is not None and self.backend not in BACKEND_CHOICES:
             raise ConfigurationError(
-                f"backend must be 'serial', 'thread', 'process' or None, "
+                f"backend must be one of {list(BACKEND_CHOICES)} or None, "
                 f"got {self.backend!r}"
             )
         if self.kernel not in ("incremental", "reference"):
@@ -345,19 +344,10 @@ class PipelineConfig:
     family (Sec. VII), which additionally exploits systematically
     inverted workers.
 
-    ``vote_path`` selects the Steps 1-3 implementation: ``"columnar"``
-    (default) hands dense matrices straight through
-    truth vector -> direct matrix -> smoothed matrix -> closure, never
-    materialising a :class:`~repro.graphs.preference_graph.PreferenceGraph`;
-    ``"object"`` is the per-edge graph-object compatibility path.  Both
-    produce bit-identical results (rankings, log-preference, smoothing
-    adjustments) — the object path exists as a cross-check oracle and
-    for callers that want the intermediate graphs.
-
-    ``engine`` selects the Step 1-3 *strategy* one level above
-    ``vote_path``: ``"crh_saps"`` (default) is the paper's dense
-    pipeline (truth discovery -> smoothing -> propagation -> path
-    search, on whichever ``vote_path``); ``"hodge"`` and ``"lsq"`` are
+    ``engine`` selects the Steps 1-3 strategy: ``"crh_saps"`` (default)
+    is the paper's dense pipeline, handing dense matrices straight
+    through truth vector -> direct matrix -> smoothed matrix -> closure
+    -> path search; ``"hodge"`` and ``"lsq"`` are
     the sparse least-squares engines of
     :mod:`repro.inference.engines`, which replace Steps 2-4 with one
     sparse solve over the comparison graph and scale to ``n`` in the
@@ -375,7 +365,6 @@ class PipelineConfig:
     sparse: SparseEngineConfig = field(default_factory=SparseEngineConfig)
     search: str = "saps"
     truth_engine: str = "crh"
-    vote_path: str = "columnar"
     engine: str = "crh_saps"
 
     def __post_init__(self) -> None:
@@ -388,11 +377,6 @@ class PipelineConfig:
             raise ConfigurationError(
                 f"truth_engine must be 'crh' or 'em', got "
                 f"{self.truth_engine!r}"
-            )
-        if self.vote_path not in ("columnar", "object"):
-            raise ConfigurationError(
-                f"vote_path must be 'columnar' or 'object', got "
-                f"{self.vote_path!r}"
             )
         if self.engine not in ("crh_saps", "hodge", "lsq"):
             raise ConfigurationError(

@@ -85,9 +85,8 @@ class TaskTimeoutError(ExecutionBackendError):
     """A task exceeded the backend's per-task deadline.
 
     The process backend kills the worker running the task (a real
-    cancellation); the thread backend abandons the worker thread
-    (Python cannot kill threads); the serial backend cannot enforce
-    per-task deadlines at all and never raises this.
+    cancellation); the serial backend cannot enforce per-task deadlines
+    at all and never raises this.
     """
 
 

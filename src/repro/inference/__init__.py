@@ -32,7 +32,7 @@ from .smoothing import (
     smooth_matrix,
     smooth_preferences,
 )
-from .propagation import propagate_matrix, propagate_preferences
+from .propagation import propagate_matrix
 from .taps import taps_search, branch_and_bound_search
 from .saps import saps_search
 from .local_search import polish_ranking
@@ -53,7 +53,6 @@ __all__ = [
     "smooth_matrix",
     "smooth_preferences",
     "propagate_matrix",
-    "propagate_preferences",
     "taps_search",
     "branch_and_bound_search",
     "saps_search",

@@ -12,19 +12,18 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from ..config import PipelineConfig
 from ..diagnostics import get_logger
 from ..exceptions import InferenceError
-from ..graphs.preference_graph import PreferenceGraph
 from ..rng import SeedLike, ensure_rng
-from ..types import InferenceResult, VoteSet
+from ..types import InferenceResult, Ranking, VoteSet
 from ..truth.crh import discover_truth
 from ..truth.dawid_skene import discover_truth_em
 from .propagation import propagate_matrix
 from .saps import saps_search_report
-from .smoothing import direct_preference_matrix, smooth_matrix, smooth_preferences
+from .smoothing import direct_preference_matrix, smooth_matrix
 from .taps import branch_and_bound_search, taps_search
 
 _log = get_logger("inference.pipeline")
@@ -75,62 +74,33 @@ class RankingPipeline:
             )
         step_seconds = {}
 
-        columnar = config.vote_path == "columnar"
-
         # Step 1: truth discovery of direct preferences.
         start = time.perf_counter()
         discover = (discover_truth_em if config.truth_engine == "em"
                     else discover_truth)
         truth = discover(votes, config.truth)
-        if columnar:
-            arrays = votes.arrays()
-            direct = direct_preference_matrix(arrays, truth.preference_vector)
-        else:
-            direct_graph = PreferenceGraph.from_direct_preferences(
-                votes.n_objects, truth.preferences
-            )
+        arrays = votes.arrays()
+        direct = direct_preference_matrix(arrays, truth.preference_vector)
         step_seconds["truth_discovery"] = time.perf_counter() - start
 
         # Step 2: smoothing of unanimous edges.
         start = time.perf_counter()
-        if columnar:
-            smoothing = smooth_matrix(
-                direct, truth.preference_vector, arrays,
-                truth.quality_vector, config.smoothing, generator,
-            )
-            smoothed = smoothing.matrix
-        else:
-            smoothing = smooth_preferences(
-                direct_graph, votes, truth.worker_quality, config.smoothing,
-                generator,
-            )
-            smoothed = smoothing.graph
+        smoothing = smooth_matrix(
+            direct, truth.preference_vector, arrays,
+            truth.quality_vector, config.smoothing, generator,
+        )
         step_seconds["smoothing"] = time.perf_counter() - start
 
         # Step 3: indirect preferences and normalised complete closure.
         start = time.perf_counter()
-        closure = propagate_matrix(smoothed, config.propagation)
+        closure = propagate_matrix(smoothing.matrix, config.propagation)
         step_seconds["propagation"] = time.perf_counter() - start
 
         # Step 4: best-ranking search.
         start = time.perf_counter()
-        if config.search == "taps":
-            rankings, probability = taps_search(closure, config.taps)
-            ranking = rankings[0]
-            log_pref = math.log(probability) if probability > 0 else float("-inf")
-            search_meta = {"tie_count": len(rankings)}
-        elif config.search == "branch_and_bound":
-            ranking, log_pref = branch_and_bound_search(closure)
-            search_meta = {}
-        else:
-            report = saps_search_report(closure, config.saps, generator)
-            ranking, log_pref = report.ranking, report.log_preference
-            search_meta = {
-                "saps_restarts": report.restarts,
-                "saps_accepted_moves": report.accepted_moves,
-                "saps_proposed_moves": report.proposed_moves,
-                "saps_polish_improved": report.polish_improved,
-            }
+        ranking, log_pref, search_meta = _search_closure(
+            closure, config, generator
+        )
         step_seconds["search"] = time.perf_counter() - start
 
         _log.debug(
@@ -153,6 +123,26 @@ class RankingPipeline:
             step_seconds=step_seconds,
             metadata=metadata,
         )
+
+
+def _search_closure(
+    closure, config: PipelineConfig, generator
+) -> Tuple[Ranking, float, Dict[str, object]]:
+    """Step 4 on a closure matrix: ``(ranking, log_preference, metadata)``."""
+    if config.search == "taps":
+        rankings, probability = taps_search(closure, config.taps)
+        log_pref = math.log(probability) if probability > 0 else float("-inf")
+        return rankings[0], log_pref, {"tie_count": len(rankings)}
+    if config.search == "branch_and_bound":
+        ranking, log_pref = branch_and_bound_search(closure)
+        return ranking, log_pref, {}
+    report = saps_search_report(closure, config.saps, generator)
+    return report.ranking, report.log_preference, {
+        "saps_restarts": report.restarts,
+        "saps_accepted_moves": report.accepted_moves,
+        "saps_proposed_moves": report.proposed_moves,
+        "saps_polish_improved": report.polish_improved,
+    }
 
 
 def infer_ranking(

@@ -32,9 +32,9 @@ def propagate_matrix(
 ) -> np.ndarray:
     """Step 3 as a dense matrix: the normalised complete closure weights.
 
-    This is the high-performance entry point the pipeline uses (the
-    Step-4 searches consume the matrix directly); see
-    :func:`propagate_preferences` for the graph-object wrapper.
+    The Step-4 searches consume the matrix directly; wrap it with
+    :meth:`PreferenceGraph.from_matrix` for the complete closure graph
+    ``G_P^*`` (``w_ij + w_ji = 1`` for every ordered pair).
 
     Parameters
     ----------
@@ -87,29 +87,6 @@ def propagate_matrix(
 
     combined = config.alpha * direct + (1.0 - config.alpha) * indirect
     return _normalise_matrix(combined)
-
-
-def propagate_preferences(
-    smoothed: PreferenceGraph,
-    config: Optional[PropagationConfig] = None,
-) -> PreferenceGraph:
-    """Compute the complete, normalised closure ``G_P^*`` of Step 3.
-
-    Parameters
-    ----------
-    smoothed:
-        The Step-2 output (strongly connected whenever the task graph was
-        connected).
-    config:
-        Blend factor ``alpha``, hop bound and kernel selection.
-
-    Returns
-    -------
-    PreferenceGraph
-        A complete graph with ``w_ij + w_ji = 1`` and
-        ``w in [min_clip, 1 - min_clip]`` for every ordered pair.
-    """
-    return PreferenceGraph.from_matrix(propagate_matrix(smoothed, config))
 
 
 def _adaptive_hops(n: int, n_directed_edges: int) -> int:

@@ -36,9 +36,9 @@ parallel (``SAPSConfig.parallel_restarts``) without changing results:
 serial and parallel runs reduce the same per-restart outcomes in the
 same order.  The restart loop dispatches through
 :mod:`repro.workers.backends` (``SAPSConfig.backend``), so the same
-guarantee extends across the serial, thread and process backends — the
-anneal is pure Python and GIL-bound, which makes the process backend
-the only one that actually uses multiple cores.
+guarantee extends across the serial and process backends — the anneal
+is pure Python and GIL-bound, which makes the process backend the one
+that actually uses multiple cores.
 """
 
 from __future__ import annotations
@@ -183,8 +183,8 @@ def saps_search_report(
     # One child stream per restart: restarts become order-independent
     # (parallelisable) while staying reproducible from the run RNG.
     # Each task is a picklable (shared, start, stream) triple, so the
-    # restart loop runs unchanged on the serial, thread and process
-    # backends — scheduling never touches the random streams.
+    # restart loop runs unchanged on the serial and process backends —
+    # scheduling never touches the random streams.
     streams = spawn_rngs(generator, len(start_vertices))
     tasks = [(shared, start, stream)
              for start, stream in zip(start_vertices, streams)]
@@ -291,9 +291,9 @@ def _path_cost(cost: np.ndarray, path) -> float:
 class _RestartShared:
     """Read-only per-run state shared by every restart task.
 
-    One instance is referenced by all restart tasks: the thread and
-    serial backends share it (and its lazily built incremental-kernel
-    tables) in memory, while the process backend pickles only the raw
+    One instance is referenced by all restart tasks: the serial backend
+    shares it (and its lazily built incremental-kernel tables) in
+    memory, while the process backend pickles only the raw
     matrices — the derived tables are rebuilt once per worker process
     (O(n^2), negligible next to the anneal) rather than shipped over
     the pipe.

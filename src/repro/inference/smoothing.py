@@ -17,14 +17,15 @@ of errors introduced by estimation".
 
 Two implementations are provided:
 
-* :func:`smooth_preferences` — the original object path over a
-  :class:`~repro.graphs.preference_graph.PreferenceGraph`; kept as the
-  compatibility API and as the oracle the fast path is differenced
-  against;
-* :func:`smooth_matrix` — the columnar fast path: identifies 1-edges
-  from the Step-1 truth vector, computes ``sigma_k`` once per distinct
-  worker, and applies every shift with ``np.bincount`` over the
-  pre-flattened vote arrays (:class:`~repro.types.VoteArrays`).
+* :func:`smooth_preferences` — the object path over a
+  :class:`~repro.graphs.preference_graph.PreferenceGraph`; the public
+  graph-object API, and the oracle the pipeline's kernel is differenced
+  against (``tests/oracles/object_path.py``);
+* :func:`smooth_matrix` — the columnar fast path the pipeline runs:
+  identifies 1-edges from the Step-1 truth vector, computes
+  ``sigma_k`` once per distinct worker, and applies every shift with
+  ``np.bincount`` over the pre-flattened vote arrays
+  (:class:`~repro.types.VoteArrays`).
 
 **Sampled-mode RNG draw-order contract.**  Both implementations consume
 exactly one ``|N(0, sigma_k^2)|`` draw per (1-edge, vote) in the same

@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import socket
 import threading
 import time
@@ -153,9 +154,9 @@ class ServerConfig:
         Seconds :meth:`RankingServer.stop` waits for in-flight requests
         before closing anyway.
     backend:
-        Execution backend job attempts run on (``"serial"``,
-        ``"thread"`` or ``"process"``); ``None`` defers to the
-        ``REPRO_BACKEND`` environment variable, then ``"thread"``.
+        Execution backend job attempts run on (``"serial"`` or
+        ``"process"``); ``None`` defers to the ``REPRO_BACKEND``
+        environment variable, then ``"serial"``.
         ``"process"`` adds crash isolation: a job that kills its worker
         comes back as a failed result instead of taking the server down
         or wedging a slot.
@@ -541,7 +542,11 @@ class RankingServer:
         payload = dict(payload)
         payload.pop("timeout", None)
         payload.setdefault("schema", JOB_SCHEMA)
-        payload.setdefault("job_id", f"req-{next(self._request_ids)}")
+        # The pid keeps ids unique across the children of a pre-fork
+        # group, which each count from 1.
+        payload.setdefault(
+            "job_id", f"req-{os.getpid()}-{next(self._request_ids)}"
+        )
         try:
             return job_from_payload(payload, source=source)
         except DataFormatError as error:

@@ -15,17 +15,15 @@ through the inference pipeline over a thread pool, with:
   :class:`~repro.service.metrics.MetricsRegistry`, including the
   per-step latency breakdown aggregated from each result.
 
-Batch fan-out always happens on threads: results flow straight into
-the shared in-memory cache and metrics registry, and jobs need no
-pickling to reach a thread.  The pluggable part is where each
-*attempt*'s actual work runs, selected by the ``backend`` parameter
-(see :mod:`repro.workers.backends`):
+Batch fan-out always happens on threads, ``workers`` of them: results
+flow straight into the shared in-memory cache and metrics registry,
+and jobs need no pickling to reach a thread.  The pluggable part is
+where each *attempt*'s actual work runs, selected by the ``backend``
+parameter (see :mod:`repro.workers.backends`):
 
-* ``serial`` — the whole batch degenerates to a sequential in-thread
-  loop (the determinism oracle);
-* ``thread`` (default) — the attempt runs inline or, when a budget
-  applies, on a daemon thread that is *abandoned* (not killed — Python
-  cannot) when the deadline passes;
+* ``serial`` (default) — the attempt runs inline on the job's thread
+  or, when a budget applies, on a daemon thread that is *abandoned*
+  (not killed — Python cannot) when the deadline passes;
 * ``process`` — the attempt runs in a child process: a timed-out
   worker is genuinely killed, and a crashed worker (segfault,
   ``os._exit``, OOM kill) surfaces as a transient
@@ -43,11 +41,10 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..config import PipelineConfig
 from ..diagnostics import get_logger
 from ..exceptions import ConfigurationError, ReproError, TaskTimeoutError
 from ..inference import RankingPipeline
@@ -115,8 +112,9 @@ class BatchExecutor:
     Parameters
     ----------
     workers:
-        Pool width.  1 degenerates to serial execution (still with
-        cache, retries and timeouts) — useful as the determinism oracle.
+        Thread-pool width for the batch.  1 degenerates to sequential
+        execution (still with cache, retries and timeouts) — useful as
+        the determinism oracle.
     cache:
         Result cache; ``None`` disables caching entirely.
     retry:
@@ -138,15 +136,13 @@ class BatchExecutor:
         exposed as :attr:`metrics` and snapshotted into every
         :class:`BatchReport`.
     backend:
-        Where each attempt's work runs: ``"serial"``, ``"thread"``,
-        ``"process"``, an :class:`~repro.workers.backends.ExecutionBackend`
-        instance, or ``None`` to defer to the ``REPRO_BACKEND``
-        environment variable (then ``"thread"``).  ``"serial"`` also
-        forces the batch itself to run sequentially.  Note the
-        ``process`` backend executes the canonical attempt body
-        (:func:`_attempt_job`) in the child, so instance-level
-        ``_attempt`` overrides only take effect on the serial/thread
-        paths.
+        Where each attempt's work runs: ``"serial"``, ``"process"``, an
+        :class:`~repro.workers.backends.ExecutionBackend` instance, or
+        ``None`` to defer to the ``REPRO_BACKEND`` environment variable
+        (then ``"serial"``).  Note the ``process`` backend executes the
+        canonical attempt body (:func:`_attempt_job`) in the child, so
+        instance-level ``_attempt`` overrides only take effect on the
+        serial path.
     """
 
     def __init__(
@@ -201,7 +197,7 @@ class BatchExecutor:
         batch_start = time.perf_counter()
         if not job_list:
             return BatchReport(results=(), metrics=self._metrics.snapshot())
-        if self._workers == 1 or self._backend.name == "serial":
+        if self._workers == 1:
             results = [self._execute(job) for job in job_list]
         else:
             with ThreadPoolExecutor(max_workers=self._workers) as pool:
@@ -353,11 +349,11 @@ class BatchExecutor:
         """One attempt, bounded by the per-job timeout / run deadline.
 
         On the process backend the attempt runs in a child process that
-        is genuinely killed at the budget.  On the serial/thread paths
-        a budgeted attempt runs on a daemon thread; if it outlives its
-        budget it is abandoned and :class:`JobTimeoutError` is raised
-        (the stray thread cannot poison later jobs — it shares no
-        mutable state with them).
+        is genuinely killed at the budget.  Otherwise a budgeted attempt
+        runs on a daemon thread; if it outlives its budget it is
+        abandoned and :class:`JobTimeoutError` is raised (the stray
+        thread cannot poison later jobs — it shares no mutable state
+        with them).
         """
         budget = self._attempt_budget()
         if self._backend.name == "process":
@@ -414,7 +410,7 @@ class BatchExecutor:
     ) -> Tuple[InferenceResult, Dict[str, object]]:
         """Execute the job's actual work once (the monkeypatchable seam).
 
-        Serial/thread attempts flow through this method, so tests can
+        Serial attempts flow through this method, so tests can
         replace it per instance; process attempts pickle the
         module-level :func:`_attempt_job` into the child instead (a
         bound method would drag the executor's locks along).

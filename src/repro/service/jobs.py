@@ -202,7 +202,7 @@ def config_from_payload(
                         f"{source}: config.{key} must be an object"
                     )
                 kwargs[key] = _SUBCONFIGS[key](**value)
-            elif key in ("search", "truth_engine", "vote_path", "engine"):
+            elif key in ("search", "truth_engine", "engine"):
                 kwargs[key] = value
             else:
                 raise DataFormatError(

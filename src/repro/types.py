@@ -314,10 +314,6 @@ class VoteArrays:
         """Mapping canonical pair -> row in the pair table."""
         return {pair: idx for idx, pair in enumerate(self.pairs())}
 
-    def worker_index(self) -> Dict[WorkerId, int]:
-        """Mapping worker id -> row in the worker table."""
-        return {worker: idx for idx, worker in enumerate(self.workers())}
-
     def to_votes(self) -> Tuple[Vote, ...]:
         """Reconstruct the original votes (order preserved; round-trip)."""
         return tuple(

@@ -28,7 +28,6 @@ from .backends import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     default_backend_name,
     get_backend,
     get_mp_context,
@@ -68,7 +67,6 @@ __all__ = [
     "BACKEND_ENV_VAR",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "default_backend_name",
     "get_backend",

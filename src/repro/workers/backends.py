@@ -2,21 +2,13 @@
 
 Every parallel path in the repo — SAPS restarts, the batch executor
 behind ``repro batch`` and ``repro serve`` — funnels through one
-order-preserving map primitive.  This module provides three
+order-preserving map primitive.  This module provides two
 interchangeable implementations of it:
 
-``serial``
+``serial`` (default)
     An inline loop on the calling thread.  Zero overhead, trivially
-    deterministic — the oracle the other two are tested against.
+    deterministic — the oracle the process backend is tested against.
     Cannot enforce per-task deadlines (nothing to interrupt).
-``thread``
-    A bounded thread pool.  Cheap to start and shares memory, but the
-    GIL serialises pure-Python work, so CPU-bound tasks (the SAPS
-    annealing kernel, the CRH truth-discovery loop) gain little beyond
-    overlap of their numpy sections.  Per-task deadlines *abandon* the
-    worker thread (Python cannot kill threads): the task's slot raises
-    :class:`~repro.exceptions.TaskTimeoutError` while the stray thread
-    runs to completion in the background.
 ``process``
     A ``multiprocessing`` pool with pickle-safe dispatch, per-task
     deadlines and crash isolation.  Each worker process runs one task
@@ -25,15 +17,19 @@ interchangeable implementations of it:
     :class:`~repro.exceptions.WorkerCrashedError` for that task and is
     **respawned**, so the remaining tasks still complete and the pool
     never hangs.  A task that outlives its deadline has its worker
-    killed (a real cancellation, unlike threads) and raises
+    killed (a real cancellation) and raises
     :class:`~repro.exceptions.TaskTimeoutError`.  Tasks, their
     arguments and their results must be picklable; the task function
     must be importable from the worker (module-level, or a
     ``functools.partial`` over one).
 
-Determinism: all three backends return results in **input order**
+There is no thread backend: the GIL serialises the pure-Python work
+fanned out here (the SAPS annealing kernel, the CRH truth-discovery
+loop), so a thread pool runs it no faster than the serial loop.
+
+Determinism: both backends return results in **input order**
 regardless of completion order, so a deterministic reduction over the
-results (e.g. "first minimum wins") gives the same answer on every
+results (e.g. "first minimum wins") gives the same answer on either
 backend — the property the SAPS parallel-restart path and the
 differential test suite (``tests/test_backends_equivalence.py``) rely
 on.
@@ -41,17 +37,15 @@ on.
 Selection: callers pass a backend name (or instance) explicitly, or
 leave it ``None`` to let :func:`resolve_backend` consult the
 ``REPRO_BACKEND`` environment variable and finally fall back to
-``"thread"`` (the pre-backend behaviour of every call site).
+``"serial"``.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import threading
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from ..diagnostics import get_logger
@@ -76,7 +70,7 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 START_METHOD_ENV_VAR = "REPRO_MP_START"
 
 #: Default backend when neither the caller nor the environment chooses.
-DEFAULT_BACKEND = "thread"
+DEFAULT_BACKEND = "serial"
 
 
 def get_mp_context(start_method: Optional[str] = None):
@@ -148,7 +142,7 @@ class ExecutionBackend:
         timeout:
             Per-task wall-clock deadline in seconds.  ``None`` means
             unbounded.  Enforcement is backend-specific (kill /
-            abandon / unsupported) — see the module docstring.
+            unsupported) — see the module docstring.
         return_exceptions:
             When true, a failed task contributes its exception
             *instance* to the result list instead of raising, and every
@@ -163,19 +157,12 @@ class ExecutionBackend:
         return f"{type(self).__name__}()"
 
 
-def _first_failure(outcomes: List[object]) -> Optional[BaseException]:
-    for outcome in outcomes:
-        if isinstance(outcome, BaseException):
-            return outcome
-    return None
-
-
 class SerialBackend(ExecutionBackend):
     """Inline execution on the calling thread — the determinism oracle.
 
     Fail-fast in raising mode: the first exception propagates
-    immediately and later items never run.  ``timeout`` is accepted for
-    interface compatibility but cannot be enforced (there is no second
+    immediately and later items never run.  ``timeout`` is validated
+    like every backend's but cannot be enforced (there is no second
     thread of control to interrupt from).
     """
 
@@ -183,7 +170,7 @@ class SerialBackend(ExecutionBackend):
 
     def map(self, fn, items, *, max_workers, timeout=None,
             return_exceptions=False):
-        _validate_width(max_workers)
+        _validate(max_workers, timeout)
         if not return_exceptions:
             return [fn(item) for item in items]
         outcomes: List[object] = []
@@ -193,95 +180,6 @@ class SerialBackend(ExecutionBackend):
             except Exception as error:  # noqa: BLE001 — collected by request
                 outcomes.append(error)
         return outcomes
-
-
-class ThreadBackend(ExecutionBackend):
-    """Bounded thread pool — the pre-backend behaviour of every caller.
-
-    Without a timeout, single-worker or single-item maps run inline so
-    the serial path keeps zero threading overhead.  With a timeout,
-    every task gets a dedicated daemon thread (gated to ``max_workers``
-    by a semaphore) whose ``join`` is bounded by the deadline; a task
-    that overruns is *abandoned* — its slot raises
-    :class:`TaskTimeoutError`, the stray thread finishes in the
-    background, exactly the semantics the batch executor has always had
-    for per-job timeouts.
-    """
-
-    name = "thread"
-
-    def map(self, fn, items, *, max_workers, timeout=None,
-            return_exceptions=False):
-        _validate_width(max_workers)
-        if timeout is not None and timeout <= 0:
-            raise ConfigurationError("timeout must be positive or None")
-        if timeout is None:
-            if max_workers == 1 or len(items) <= 1:
-                return SerialBackend().map(
-                    fn, items, max_workers=1,
-                    return_exceptions=return_exceptions,
-                )
-            return self._pool_map(fn, items, max_workers, return_exceptions)
-        return self._deadline_map(fn, items, max_workers, timeout,
-                                  return_exceptions)
-
-    def _pool_map(self, fn, items, max_workers, return_exceptions):
-        def guarded(item):
-            try:
-                return fn(item)
-            except Exception as error:  # noqa: BLE001 — re-raised below
-                return _Failure(error)
-
-        with ThreadPoolExecutor(
-            max_workers=min(max_workers, len(items)),
-            thread_name_prefix="repro-map",
-        ) as pool:
-            outcomes = list(pool.map(guarded, items))
-        return _unwrap(outcomes, return_exceptions)
-
-    def _deadline_map(self, fn, items, max_workers, timeout,
-                      return_exceptions):
-        gate = threading.Semaphore(max_workers)
-        boxes: List[List[object]] = [[] for _ in items]
-        threads: List[threading.Thread] = []
-
-        def target(index: int, item) -> None:
-            try:
-                try:
-                    boxes[index].append(_Success(fn(item)))
-                except BaseException as error:  # noqa: BLE001 — shipped back
-                    boxes[index].append(_Failure(error))
-            finally:
-                gate.release()
-
-        deadlines: List[float] = []
-        for index, item in enumerate(items):
-            gate.acquire()
-            thread = threading.Thread(
-                target=target, args=(index, item), daemon=True,
-                name=f"repro-map-{index}",
-            )
-            deadlines.append(time.monotonic() + timeout)
-            thread.start()
-            threads.append(thread)
-        outcomes: List[object] = []
-        for index, thread in enumerate(threads):
-            thread.join(max(0.0, deadlines[index] - time.monotonic()))
-            if thread.is_alive():
-                outcomes.append(_Failure(TaskTimeoutError(
-                    f"task {index} exceeded {timeout:g}s (abandoned)"
-                )))
-            else:
-                box = boxes[index][0]
-                outcomes.append(box)
-        return _unwrap(outcomes, return_exceptions)
-
-
-class _Success:
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
 
 
 class _Failure:
@@ -299,8 +197,6 @@ def _unwrap(outcomes: List[object], return_exceptions: bool) -> List[object]:
             if first_error is None:
                 first_error = outcome.error
             results.append(outcome.error)
-        elif isinstance(outcome, _Success):
-            results.append(outcome.value)
         else:
             results.append(outcome)
     if not return_exceptions and first_error is not None:
@@ -431,9 +327,7 @@ class ProcessBackend(ExecutionBackend):
 
     def map(self, fn, items, *, max_workers, timeout=None,
             return_exceptions=False):
-        _validate_width(max_workers)
-        if timeout is not None and timeout <= 0:
-            raise ConfigurationError("timeout must be positive or None")
+        _validate(max_workers, timeout)
         items = list(items)
         if not items:
             return []
@@ -464,11 +358,7 @@ class ProcessBackend(ExecutionBackend):
                     worker.kill()
                 else:
                     worker.shutdown()
-        return _unwrap(
-            [o if isinstance(o, (_Success, _Failure)) else _Success(o)
-             for o in outcomes],
-            return_exceptions,
-        )
+        return _unwrap(outcomes, return_exceptions)
 
     # -- event handling -----------------------------------------------------
 
@@ -494,7 +384,7 @@ class ProcessBackend(ExecutionBackend):
                 finished += self._handle_crash(workers, worker, outcomes)
                 continue
             if kind == "ok":
-                outcomes[index] = _Success(payload)
+                outcomes[index] = payload
             elif kind == "err":
                 outcomes[index] = _Failure(payload)
             else:  # remote_err
@@ -561,7 +451,6 @@ class ProcessBackend(ExecutionBackend):
 #: against.
 BACKENDS: Dict[str, type] = {
     "serial": SerialBackend,
-    "thread": ThreadBackend,
     "process": ProcessBackend,
 }
 
@@ -588,7 +477,7 @@ def get_backend(name: str) -> ExecutionBackend:
 
 
 def default_backend_name() -> str:
-    """The backend used when nothing is specified: env var or thread."""
+    """The backend used when nothing is specified: env var or serial."""
     return os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
 
 
@@ -598,8 +487,7 @@ def resolve_backend(
     """Resolve an explicit backend, name, or ``None`` to an instance.
 
     Precedence: an explicit instance or name wins; ``None`` consults
-    the ``REPRO_BACKEND`` environment variable; otherwise ``"thread"``
-    (the historical behaviour of every call site).
+    the ``REPRO_BACKEND`` environment variable; otherwise ``"serial"``.
     """
     if isinstance(spec, ExecutionBackend):
         return spec
@@ -608,8 +496,10 @@ def resolve_backend(
     return get_backend(spec)
 
 
-def _validate_width(max_workers: int) -> None:
+def _validate(max_workers: int, timeout: Optional[float]) -> None:
     if max_workers < 1:
         raise ConfigurationError(
             f"max_workers must be >= 1, got {max_workers}"
         )
+    if timeout is not None and timeout <= 0:
+        raise ConfigurationError("timeout must be positive or None")

@@ -145,19 +145,15 @@ def parallel_map(
     earliest-indexed failing task propagates to the caller on every
     backend.
 
-    ``backend`` selects where tasks run: ``"serial"`` (inline),
-    ``"thread"`` (the default — with ``max_workers <= 1`` or fewer than
-    two items it runs inline with no pool at all, so the serial path
-    keeps zero threading overhead), or ``"process"`` (true multi-core
-    with crash isolation; ``fn``, the items and the results must be
-    picklable).  ``None`` defers to the ``REPRO_BACKEND`` environment
-    variable, then ``"thread"``.  Pure-Python workloads only scale on
-    the process backend — threads share one GIL.
+    ``backend`` selects where tasks run: ``"serial"`` (inline, the
+    default) or ``"process"`` (true multi-core with crash isolation;
+    ``fn``, the items and the results must be picklable).  ``None``
+    defers to the ``REPRO_BACKEND`` environment variable, then
+    ``"serial"``.
 
     ``timeout`` bounds each task in seconds where the backend can
-    enforce it (process: worker killed; thread: thread abandoned;
-    serial: unenforced) and surfaces as
-    :class:`~repro.exceptions.TaskTimeoutError`.
+    enforce it (process: worker killed; serial: unenforced) and
+    surfaces as :class:`~repro.exceptions.TaskTimeoutError`.
     """
     if max_workers < 1:
         raise ConfigurationError(

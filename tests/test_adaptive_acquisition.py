@@ -2,8 +2,6 @@
 acquisition-driven rounds, the columnar interim-inference path, and the
 tie-breaking regressions of the legacy heuristic."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -16,8 +14,9 @@ from repro.adaptive import (
 from repro.config import FAST_PIPELINE
 from repro.exceptions import ConfigurationError
 from repro.platform import InteractivePlatform
-from repro.types import Ranking, Vote
+from repro.types import Ranking, Vote, VoteSet
 from repro.workers import QualityLevel, WorkerPool, gaussian_preset
+from tests.oracles.object_path import object_closure
 
 
 def make_platform(n=12, budget_queries=150, seed=33):
@@ -91,15 +90,13 @@ class TestColumnarInterim:
                 rng.choice(n, size=2, replace=False) for _ in range(150)
             )
         ]
-        columnar = dataclasses.replace(FAST_PIPELINE,
-                                       vote_path="columnar")
-        objects = dataclasses.replace(FAST_PIPELINE, vote_path="object")
         closure_col = _interim_closure(
-            n, votes, columnar, np.random.default_rng(5)
+            n, votes, FAST_PIPELINE, np.random.default_rng(5)
         )
-        closure_obj = _interim_closure(
-            n, votes, objects, np.random.default_rng(5)
-        )
+        closure_obj = object_closure(
+            VoteSet.from_votes(n, votes), FAST_PIPELINE,
+            np.random.default_rng(5),
+        ).closure
         np.testing.assert_allclose(closure_col, closure_obj,
                                    atol=1e-12)
 

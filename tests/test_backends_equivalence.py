@@ -1,12 +1,12 @@
 """Differential equivalence suite for the execution backends.
 
 The serial backend is the oracle: every result below must be
-*bit-identical* on the thread and process backends — rankings, move
+*bit-identical* on the process backend — rankings, move
 counters, pipeline metadata, batch job results.  This is the contract
 that makes the backend choice a pure performance knob: switching
 ``--backend`` may change wall-clock, never answers.
 
-The property that makes it hold is order preservation — every backend
+The property that makes it hold is order preservation — each backend
 returns results in input order, so deterministic reductions (SAPS's
 "first minimum wins" across restarts) see the same sequence no matter
 how execution interleaved.
@@ -32,11 +32,10 @@ from repro.workers.backends import (
     BACKEND_CHOICES,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     resolve_backend,
 )
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 def _square(x: int) -> int:
@@ -83,20 +82,18 @@ class TestSAPSEquivalence:
                 parallel_restarts=3, kernel=kernel, backend=backend,
             )
             reports[backend] = saps_search_report(matrix, config, rng=99)
-        oracle = reports["serial"]
-        for backend in ("thread", "process"):
-            report = reports[backend]
-            assert report.ranking == oracle.ranking
-            assert report.log_preference == oracle.log_preference
-            assert report.accepted_moves == oracle.accepted_moves
-            assert report.proposed_moves == oracle.proposed_moves
+        oracle, report = reports["serial"], reports["process"]
+        assert report.ranking == oracle.ranking
+        assert report.log_preference == oracle.log_preference
+        assert report.accepted_moves == oracle.accepted_moves
+        assert report.proposed_moves == oracle.proposed_moves
 
     def test_backend_instance_accepted(self):
         matrix = _preference_matrix(10, seed=2)
         config = SAPSConfig(iterations=300, restarts=2,
                             scale_with_objects=False, parallel_restarts=2)
         oracle = saps_search_report(matrix, config, rng=4)
-        for instance in (SerialBackend(), ThreadBackend(), ProcessBackend()):
+        for instance in (SerialBackend(), ProcessBackend()):
             got = saps_search_report(
                 matrix,
                 SAPSConfig(iterations=300, restarts=2,
@@ -118,14 +115,12 @@ class TestPipelineEquivalence:
             results[backend] = RankingPipeline(config).run(
                 medium_votes, np.random.default_rng(7)
             )
-        oracle = results["serial"]
-        for backend in ("thread", "process"):
-            result = results[backend]
-            assert result.ranking == oracle.ranking
-            assert result.log_preference == oracle.log_preference
-            assert result.metadata == oracle.metadata
-            assert result.worker_quality == oracle.worker_quality
-            assert result.direct_preferences == oracle.direct_preferences
+        oracle, result = results["serial"], results["process"]
+        assert result.ranking == oracle.ranking
+        assert result.log_preference == oracle.log_preference
+        assert result.metadata == oracle.metadata
+        assert result.worker_quality == oracle.worker_quality
+        assert result.direct_preferences == oracle.direct_preferences
 
 
 class TestExecutorEquivalence:
@@ -148,7 +143,6 @@ class TestExecutorEquivalence:
                  r.result.log_preference, r.extras)
                 for r in report.results
             ]
-        assert outputs["thread"] == outputs["serial"]
         assert outputs["process"] == outputs["serial"]
 
 
@@ -167,53 +161,62 @@ class TestLargeScaleEquivalence:
     def test_large_instance_identical(self):
         matrix = _preference_matrix(200, seed=11)
         oracle = saps_search_report(matrix, self._config("serial"), rng=17)
-        for backend in ("thread", "process"):
-            report = saps_search_report(matrix, self._config(backend),
-                                        rng=17)
-            assert report.ranking == oracle.ranking
-            assert report.log_preference == oracle.log_preference
+        report = saps_search_report(matrix, self._config("process"), rng=17)
+        assert report.ranking == oracle.ranking
+        assert report.log_preference == oracle.log_preference
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 4,
-                        reason="speedup needs >= 4 cores; thread and "
-                               "process are both serial on a small host")
-    def test_process_beats_thread_on_multicore(self):
+                        reason="speedup needs >= 4 cores; the process "
+                               "pool cannot beat serial on a small host")
+    def test_process_beats_serial_on_multicore(self):
         # The acceptance bar of the backend layer: at n = 200 with 4
         # parallel restarts of the pure-Python kernel, real parallelism
-        # must beat the GIL by >= 2x while returning the same ranking.
+        # must beat the serial loop by >= 2x while returning the same
+        # ranking.
         matrix = _preference_matrix(200, seed=11)
         timings = {}
         rankings = {}
-        for backend in ("thread", "process"):
+        for backend in ("serial", "process"):
             start = time.perf_counter()
             report = saps_search_report(matrix, self._config(backend),
                                         rng=17)
             timings[backend] = time.perf_counter() - start
             rankings[backend] = report.ranking
-        assert rankings["process"] == rankings["thread"]
-        assert timings["thread"] / timings["process"] >= 2.0, timings
+        assert rankings["process"] == rankings["serial"]
+        assert timings["serial"] / timings["process"] >= 2.0, timings
 
 
 class TestBackendSelection:
     def test_env_var_fills_the_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "serial")
         assert resolve_backend(None).name == "serial"
+        monkeypatch.setenv("REPRO_BACKEND", "process")
+        assert resolve_backend(None).name == "process"
         monkeypatch.delenv("REPRO_BACKEND")
-        assert resolve_backend(None).name == "thread"
+        assert resolve_backend(None).name == "serial"
 
     def test_explicit_choice_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "serial")
         assert resolve_backend("process").name == "process"
-        assert resolve_backend(ThreadBackend()).name == "thread"
+        monkeypatch.setenv("REPRO_BACKEND", "process")
+        assert resolve_backend(SerialBackend()).name == "serial"
 
-    def test_unknown_backend_rejected_everywhere(self):
-        with pytest.raises(ConfigurationError):
-            resolve_backend("gpu")
-        with pytest.raises(ConfigurationError):
-            SAPSConfig(backend="gpu")
-        with pytest.raises(ConfigurationError):
-            ServerConfig(backend="gpu")
-        with pytest.raises(ConfigurationError):
-            BatchExecutor(backend="gpu")
+    def test_unknown_backend_rejected_everywhere(self, monkeypatch):
+        # Every entry point validates against the one registry and
+        # names its two choices, "thread" included.
+        choices = r"\['process', 'serial'\]|process, serial"
+        for name in ("gpu", "thread"):
+            with pytest.raises(ConfigurationError, match=choices):
+                resolve_backend(name)
+            with pytest.raises(ConfigurationError, match=choices):
+                SAPSConfig(backend=name)
+            with pytest.raises(ConfigurationError, match=choices):
+                ServerConfig(backend=name)
+            with pytest.raises(ConfigurationError, match=choices):
+                BatchExecutor(backend=name)
+            monkeypatch.setenv("REPRO_BACKEND", name)
+            with pytest.raises(ConfigurationError, match=choices):
+                resolve_backend(None)
 
     def test_registry_is_the_closed_choice_set(self):
-        assert set(BACKEND_CHOICES) == {"serial", "thread", "process"}
+        assert BACKEND_CHOICES == ("process", "serial")

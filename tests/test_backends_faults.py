@@ -33,7 +33,6 @@ from repro.service.retry import NO_RETRY, RetryPolicy, default_is_transient
 from repro.workers.backends import (
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
 )
 
 pytestmark = pytest.mark.usefixtures("hang_guard")
@@ -145,21 +144,12 @@ class TestDeadlines:
         assert "worker killed" in str(outcomes[1])
         assert elapsed < 10.0  # nowhere near the 60s sleep
 
-    def test_thread_hung_task_is_abandoned_at_deadline(self):
-        outcomes = ThreadBackend().map(
-            _sleep_if_negative, [1, -1, 2], max_workers=3, timeout=0.3,
-            return_exceptions=True,
-        )
-        assert outcomes[0] == 1 and outcomes[2] == 2
-        assert isinstance(outcomes[1], TaskTimeoutError)
-        assert "abandoned" in str(outcomes[1])
-
     def test_serial_accepts_but_cannot_enforce_timeouts(self):
         assert SerialBackend().map(
             _identity, [1, 2], max_workers=1, timeout=5.0,
         ) == [1, 2]
 
-    @pytest.mark.parametrize("backend", [ThreadBackend(), ProcessBackend()])
+    @pytest.mark.parametrize("backend", [SerialBackend(), ProcessBackend()])
     def test_non_positive_timeout_rejected(self, backend):
         with pytest.raises(ConfigurationError):
             backend.map(_identity, [1], max_workers=1, timeout=0.0)
@@ -180,7 +170,7 @@ def _scenario_jobs(count, n_objects=10):
 
 
 class TestExecutorFaults:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_exhausted_deadline_times_out_on_every_backend(self, backend):
         executor = BatchExecutor(
             workers=2, backend=backend, retry=NO_RETRY,

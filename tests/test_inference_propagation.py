@@ -6,7 +6,7 @@ import pytest
 from repro.config import PropagationConfig
 from repro.exceptions import InferenceError
 from repro.graphs import PreferenceGraph
-from repro.inference.propagation import propagate_matrix, propagate_preferences
+from repro.inference.propagation import propagate_matrix
 
 
 @pytest.fixture
@@ -90,8 +90,10 @@ class TestPropagateMatrix:
 
 
 class TestPropagatePreferences:
+    """The closure graph ``G_P^*``, built from the Step-3 matrix."""
+
     def test_returns_complete_graph(self, smoothed_chain):
-        closure = propagate_preferences(smoothed_chain)
+        closure = PreferenceGraph.from_matrix(propagate_matrix(smoothed_chain))
         assert closure.is_complete()
         closure.validate(smoothed=True)
 
@@ -99,10 +101,10 @@ class TestPropagatePreferences:
         """A complete graph is always Hamiltonian."""
         from repro.graphs.hamiltonian import has_hamiltonian_path
 
-        closure = propagate_preferences(smoothed_chain)
+        closure = PreferenceGraph.from_matrix(propagate_matrix(smoothed_chain))
         assert has_hamiltonian_path(closure)
 
     def test_matches_matrix_form(self, smoothed_chain):
-        closure = propagate_preferences(smoothed_chain)
-        matrix = propagate_matrix(smoothed_chain)
+        closure = PreferenceGraph.from_matrix(propagate_matrix(smoothed_chain))
+        matrix = propagate_matrix(smoothed_chain.weight_matrix())
         assert np.allclose(closure.weight_matrix(), matrix)

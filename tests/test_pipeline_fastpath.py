@@ -1,11 +1,11 @@
-"""Differential suite: the columnar fast path vs the object path.
+"""Differential suite: the pipeline's columnar kernels vs the object path.
 
-The contract under test (ISSUE: columnar vote path): for every vote set,
-seed and backend, ``vote_path="columnar"`` must produce results
-*bit-identical* to ``vote_path="object"`` — same ranking, same
+The contract under test: for every vote set, seed and backend,
+:class:`~repro.inference.RankingPipeline` (dense matrices through
+Steps 1-3) must produce results *bit-identical* to the graph-object
+oracle in :mod:`tests.oracles.object_path` — same ranking, same
 ``log_preference`` float, same worker qualities, same smoothing
-adjustments.  This is what lets the pipeline default to the fast path
-without a behaviour flag day.
+adjustments.
 
 Also hosts the :class:`~repro.types.VoteArrays` round-trip and property
 tests (empty, single-vote, duplicate-pair vote sets).
@@ -23,7 +23,7 @@ from repro.config import (
     SmoothingConfig,
 )
 from repro.datasets import make_scenario
-from repro.exceptions import ConfigurationError
+from repro.exceptions import DataFormatError
 from repro.experiments.runner import collect_votes
 from repro.graphs import PreferenceGraph
 from repro.inference import RankingPipeline
@@ -32,8 +32,10 @@ from repro.inference.smoothing import (
     smooth_matrix,
     smooth_preferences,
 )
+from repro.service.jobs import config_from_payload
 from repro.truth.crh import discover_truth
 from repro.types import Vote, VoteArrays, VoteSet
+from tests.oracles.object_path import run_object_pipeline
 
 SIZES = (2, 3, 10, 50)
 SEEDS = (0, 1, 2, 3, 4)
@@ -68,12 +70,8 @@ class TestColumnarVsObjectPipeline:
     def test_bit_identical_results(self, n, seed):
         votes = _votes_for(n, seed)
         config = _config()
-        columnar = RankingPipeline(config.with_(vote_path="columnar")).run(
-            votes, rng=seed
-        )
-        obj = RankingPipeline(config.with_(vote_path="object")).run(
-            votes, rng=seed
-        )
+        columnar = RankingPipeline(config).run(votes, rng=seed)
+        obj = run_object_pipeline(votes, config, rng=seed)
         _assert_identical(columnar, obj)
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -82,37 +80,26 @@ class TestColumnarVsObjectPipeline:
         consume it in the same order for identical downstream results."""
         votes = _votes_for(10, seed)
         config = _config(mode="sampled")
-        columnar = RankingPipeline(config.with_(vote_path="columnar")).run(
-            votes, rng=seed
-        )
-        obj = RankingPipeline(config.with_(vote_path="object")).run(
-            votes, rng=seed
-        )
+        columnar = RankingPipeline(config).run(votes, rng=seed)
+        obj = run_object_pipeline(votes, config, rng=seed)
         _assert_identical(columnar, obj)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_every_backend(self, backend, hang_guard):
-        """The vote path and the execution backend are orthogonal knobs."""
+        """The Steps 1-3 kernels and the execution backend are
+        orthogonal."""
         votes = _votes_for(10, 1)
         config = _config(backend=backend)
-        columnar = RankingPipeline(config.with_(vote_path="columnar")).run(
-            votes, rng=1
-        )
-        obj = RankingPipeline(config.with_(vote_path="object")).run(
-            votes, rng=1
-        )
+        columnar = RankingPipeline(config).run(votes, rng=1)
+        obj = run_object_pipeline(votes, config, rng=1)
         _assert_identical(columnar, obj)
 
     @pytest.mark.parametrize("engine", ["crh", "em"])
     def test_both_truth_engines(self, engine):
         votes = _votes_for(10, 2)
         config = _config().with_(truth_engine=engine)
-        columnar = RankingPipeline(config.with_(vote_path="columnar")).run(
-            votes, rng=2
-        )
-        obj = RankingPipeline(config.with_(vote_path="object")).run(
-            votes, rng=2
-        )
+        columnar = RankingPipeline(config).run(votes, rng=2)
+        obj = run_object_pipeline(votes, config, rng=2)
         _assert_identical(columnar, obj)
 
     def test_exact_propagation_identical(self):
@@ -122,17 +109,19 @@ class TestColumnarVsObjectPipeline:
         config = _config().with_(
             propagation=PropagationConfig(method="exact")
         )
-        columnar = RankingPipeline(config.with_(vote_path="columnar")).run(
-            votes, rng=3
-        )
-        obj = RankingPipeline(config.with_(vote_path="object")).run(
-            votes, rng=3
-        )
+        columnar = RankingPipeline(config).run(votes, rng=3)
+        obj = run_object_pipeline(votes, config, rng=3)
         _assert_identical(columnar, obj)
 
     def test_unknown_vote_path_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PipelineConfig(vote_path="sparse")
+        """The object path lives only in the test oracle: no config knob
+        selects it, in code or in a job payload."""
+        for vote_path in ("object", "columnar", "sparse"):
+            with pytest.raises(TypeError):
+                PipelineConfig(vote_path=vote_path)
+            with pytest.raises(DataFormatError,
+                               match="unknown config field 'vote_path'"):
+                config_from_payload({"vote_path": vote_path})
 
 
 class TestSmoothingAdjustmentsIdentical:

@@ -18,6 +18,7 @@ from repro.service import BatchExecutor, BatchReport, JobStatus
 from repro.session import rank_with_crowd
 from repro.types import InferenceResult, Ranking
 from repro.workers import QualityLevel
+from repro.workers.backends import get_mp_context
 
 
 def _get(url):
@@ -56,6 +57,17 @@ SCENARIO_REQUEST = {
     "scenario": {"n_objects": 12, "selection_ratio": 0.5,
                  "n_workers": 10, "workers_per_task": 5},
 }
+
+
+def _first_default_job_id(queue):
+    """The id a fresh server stamps on its first unnamed job (runs in a
+    child process, like one member of a pre-fork group)."""
+    server = RankingServer(ServerConfig(port=0, no_cache=True))
+    try:
+        request = {k: v for k, v in SCENARIO_REQUEST.items() if k != "job_id"}
+        queue.put(server.decode_job(request).job_id)
+    finally:
+        server.stop(drain_timeout=1.0)
 
 
 @pytest.fixture
@@ -143,6 +155,21 @@ class TestRank:
         status, body = _post(server.url + "/v1/rank", request)
         assert status == 200
         assert body["job_id"].startswith("req-")
+
+    def test_default_ids_distinct_across_processes(self):
+        """Pre-fork children each count from 1; the pid keeps their
+        default request ids apart."""
+        ctx = get_mp_context()
+        queue = ctx.Queue()
+        children = [ctx.Process(target=_first_default_job_id, args=(queue,))
+                    for _ in range(2)]
+        for child in children:
+            child.start()
+        ids = [queue.get(timeout=60) for _ in children]
+        for child in children:
+            child.join(timeout=10)
+        assert all(job_id.startswith("req-") for job_id in ids)
+        assert ids[0] != ids[1], ids
 
     def test_malformed_json_is_400(self, server):
         status, body = _post(server.url + "/v1/rank", b"{not json")

@@ -6,6 +6,7 @@ hit-rate on resubmission, and poisoned / timing-out / flaky jobs never
 taking the batch down.
 """
 
+import threading
 import time
 
 import pytest
@@ -65,6 +66,24 @@ class TestDeterminism:
                [r.result.ranking for r in parallel.results]
         assert [r.extras["accuracy"] for r in serial.results] == \
                [r.extras["accuracy"] for r in parallel.results]
+
+    def test_workers_alone_set_batch_concurrency(self, tiny_votes):
+        """The serial backend runs each attempt inline on its job's
+        thread; it does not serialise the batch — ``workers`` does."""
+        executor = BatchExecutor(workers=2, backend="serial",
+                                 retry=NO_RETRY)
+        both_running = threading.Barrier(2, timeout=10.0)
+        original = executor._attempt
+
+        def rendezvous(job):
+            both_running.wait()  # breaks unless both jobs run at once
+            return original(job)
+
+        executor._attempt = rendezvous
+        jobs = [RankingJob(job_id=f"r{i}", votes=tiny_votes, config=QUICK,
+                           seed=i) for i in range(2)]
+        report = executor.run(jobs)
+        assert report.ok, [r.error for r in report.results]
 
     def test_results_preserve_submission_order(self):
         jobs = scenario_jobs(6)
