@@ -13,7 +13,11 @@ speedup: the annealing kernel is pure Python, so the process backend is
 where parallel restarts actually scale.  Rankings must stay
 bit-identical across backends.
 
-``--smoke`` runs a tiny configuration with ``debug_checks`` on (the
+Production picks the kernel from the input (incremental on complete
+closures), so the reference runs go through the tests-only switch in
+``tests/oracles/saps_reference.py``.
+
+``--smoke`` runs a tiny configuration with the drift check on (the
 incremental kernel asserts running-cost == full re-sum after every
 accepted move) and exits non-zero if the kernels disagree or the
 incremental kernel is slower than 1.5x the reference — suitable for CI.
@@ -30,7 +34,9 @@ import datetime
 import json
 import os
 import platform
+import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Dict, List
 
@@ -40,6 +46,14 @@ from repro.config import SAPSConfig
 from repro.inference.saps import saps_search_report
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+# The kernel switches are test oracles; make ``tests`` importable when
+# this file runs as a script.
+sys.path.insert(0, str(REPO_ROOT))
+
+from tests.oracles.saps_reference import (  # noqa: E402
+    drift_checks,
+    reference_kernel,
+)
 
 
 def random_closure(n: int, seed: int) -> np.ndarray:
@@ -68,24 +82,18 @@ def run_kernel(matrix: np.ndarray, config: SAPSConfig,
 
 
 def bench_size(n: int, iterations: int, restarts: int, seed: int,
-               debug_checks: bool) -> Dict[str, object]:
+               drift_check: bool) -> Dict[str, object]:
     matrix = random_closure(n, seed=n)
     base = dict(iterations=iterations, restarts=restarts,
                 scale_with_objects=False)
-    incremental = run_kernel(
-        matrix,
-        SAPSConfig(**base, kernel="incremental", debug_checks=debug_checks),
-        seed,
-    )
-    reference = run_kernel(
-        matrix, SAPSConfig(**base, kernel="reference"), seed
-    )
-    parallel = run_kernel(
-        matrix,
-        SAPSConfig(**base, kernel="incremental", parallel_restarts=4,
-                   debug_checks=debug_checks),
-        seed,
-    )
+    checks = drift_checks() if drift_check else nullcontext()
+    with checks:
+        incremental = run_kernel(matrix, SAPSConfig(**base), seed)
+        parallel = run_kernel(
+            matrix, SAPSConfig(**base, parallel_restarts=4), seed
+        )
+    with reference_kernel():
+        reference = run_kernel(matrix, SAPSConfig(**base), seed)
     same_ranking = incremental["ranking"] == reference["ranking"]
     cost_gap = abs(incremental["log_preference"]
                    - reference["log_preference"])
@@ -124,7 +132,7 @@ def backend_sweep(n: int, iterations: int, seed: int) -> Dict[str, object]:
     for backend in ("serial", "process"):
         config = SAPSConfig(
             iterations=iterations, restarts=4, scale_with_objects=False,
-            kernel="incremental", parallel_restarts=4, backend=backend,
+            parallel_restarts=4, backend=backend,
         )
         runs[backend] = run_kernel(matrix, config, seed)
     identical = (
@@ -169,7 +177,7 @@ def main() -> int:
                              "amortised)")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--smoke", action="store_true",
-                        help="tiny CI mode: debug_checks on, asserts "
+                        help="tiny CI mode: drift check on, asserts "
                              "equality and no slowdown > 1.5x")
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_saps.json"),
                         help="output path (default <repo>/BENCH_saps.json)")
@@ -186,7 +194,7 @@ def main() -> int:
     failures = []
     for n in sizes:
         summary = bench_size(n, iterations, args.restarts, args.seed,
-                             debug_checks=args.smoke)
+                             drift_check=args.smoke)
         results.append(summary)
         print(f"n={n}: incremental "
               f"{summary['incremental']['proposals_per_s']:,.0f} p/s, "

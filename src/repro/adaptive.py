@@ -214,14 +214,6 @@ def _interim_inference(
     return propagate_matrix(smoothing.matrix, config.propagation), truth
 
 
-def _interim_closure(
-    n: int, votes: List[Vote], config: PipelineConfig, generator
-) -> np.ndarray:
-    """Steps 1-3 on the votes collected so far (closure only)."""
-    closure, _ = _interim_inference(n, votes, config, generator)
-    return closure
-
-
 def _most_uncertain_pairs(
     closure: np.ndarray, count: int, generator
 ) -> List[Tuple[int, int]]:

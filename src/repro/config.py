@@ -27,13 +27,9 @@ class TruthDiscoveryConfig:
     tolerance:
         Convergence threshold on the change of both the estimated
         preferences ``x_ij`` and worker qualities ``q_k`` between
-        consecutive iterations.
-    criterion:
-        Norm used for the change: ``"mean"`` (average absolute delta,
-        default — under it the algorithm matches the paper's
-        "convergence within 10 iterations for most cases") or ``"max"``
-        (worst single delta; stricter, a few stragglers keep it busy
-        for tens of iterations).  The paper does not specify the norm.
+        consecutive iterations, measured as the *mean* absolute delta
+        (the paper does not specify the norm; under the mean it matches
+        the paper's "convergence within 10 iterations for most cases").
     alpha:
         Confidence-interval parameter of the chi-square weight (Eq. 5);
         the weight uses the ``alpha/2`` percentile.
@@ -53,7 +49,6 @@ class TruthDiscoveryConfig:
 
     max_iterations: int = 50
     tolerance: float = 1e-4
-    criterion: str = "mean"
     alpha: float = 0.05
     min_error: float = 0.25
     strict: bool = False
@@ -63,10 +58,6 @@ class TruthDiscoveryConfig:
             raise ConfigurationError("max_iterations must be >= 1")
         if not 0 < self.tolerance < 1:
             raise ConfigurationError("tolerance must be in (0, 1)")
-        if self.criterion not in ("mean", "max"):
-            raise ConfigurationError(
-                f"criterion must be 'mean' or 'max', got {self.criterion!r}"
-            )
         if not 0 < self.alpha < 1:
             raise ConfigurationError("alpha must be in (0, 1)")
         if self.min_error <= 0:
@@ -133,15 +124,12 @@ class PropagationConfig:
         ``"walks"`` aggregates walk products with matrix powers
         (polynomial, default); ``"exact"`` enumerates simple paths
         (exponential, small ``n`` only); ``"auto"`` picks ``"exact"``
-        when ``n <= exact_threshold`` else ``"walks"``.
-    exact_threshold:
-        The crossover size for ``method="auto"``.
+        for ``n <= 9`` else ``"walks"``.
     """
 
     alpha: float = 0.5
     max_hops: Optional[int] = None
     method: str = "auto"
-    exact_threshold: int = 9
 
     def __post_init__(self) -> None:
         if not 0 <= self.alpha <= 1:
@@ -152,8 +140,6 @@ class PropagationConfig:
             raise ConfigurationError(
                 f"method must be 'walks', 'exact' or 'auto', got {self.method!r}"
             )
-        if self.exact_threshold < 2:
-            raise ConfigurationError("exact_threshold must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -202,27 +188,10 @@ class SAPSConfig:
         then ``"serial"``.  The annealing kernel is pure Python, so only
         ``"process"`` uses multiple cores; results are bit-identical on
         both for the same seed.
-    kernel:
-        Move-evaluation strategy: ``"incremental"`` (default) computes
-        each proposal's ``d(P') - d(P)`` from the O(1)-O(k) boundary
-        edges and applies accepted moves in place;  ``"reference"``
-        re-sums all ``n - 1`` edges per proposal (the pre-optimisation
-        behaviour, kept as the benchmark baseline and cross-check
-        oracle).  Both kernels consume the random stream identically,
-        so for a fixed seed they accept the same moves and return the
-        same ranking.  Incomplete closures (any missing edge) always
-        use the reference kernel — +inf edge costs make deltas
-        ill-defined.
-    resync_every:
-        Accepted moves between full re-summations of the incremental
-        running cost.  The resync bounds float drift from accumulated
-        deltas; each one is O(n), so the amortised overhead is
-        negligible.
-    debug_checks:
-        When true, the incremental kernel asserts after *every*
-        accepted move that the running cost matches a full
-        :func:`~repro.inference.delta.path_cost` re-computation (1e-9
-        relative).  For tests and debugging — O(n) per accepted move.
+
+    The move-evaluation kernel is not configurable: the input picks it
+    (incremental deltas on complete closures, full re-sums when an edge
+    is missing; see :mod:`repro.inference.saps`).
     """
 
     iterations: int = 20000
@@ -234,9 +203,6 @@ class SAPSConfig:
     polish: bool = False
     parallel_restarts: int = 1
     backend: Optional[str] = None
-    kernel: str = "incremental"
-    resync_every: int = 512
-    debug_checks: bool = False
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -258,13 +224,6 @@ class SAPSConfig:
                 f"backend must be one of {list(BACKEND_CHOICES)} or None, "
                 f"got {self.backend!r}"
             )
-        if self.kernel not in ("incremental", "reference"):
-            raise ConfigurationError(
-                f"kernel must be 'incremental' or 'reference', got "
-                f"{self.kernel!r}"
-            )
-        if self.resync_every < 1:
-            raise ConfigurationError("resync_every must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -272,50 +231,25 @@ class SparseEngineConfig:
     """Sparse large-``n`` engine knobs (``PipelineConfig.engine`` =
     ``"hodge"`` or ``"lsq"``; see :mod:`repro.inference.engines`).
 
+    Both engines fit the linear flow ``2x - 1`` with one sparse LSQR
+    solve; no dense ``n x n`` matrix is built.
+
     Attributes
     ----------
-    solver:
-        ``"lsqr"`` (default) solves the weighted least-squares system
-        directly; ``"cg"`` runs conjugate gradients on the normal
-        equations (the weighted graph Laplacian).  Both are sparse
-        iterative methods — no dense ``n x n`` matrix is built.
-    flow:
-        Mapping from per-edge preference ``x in [0, 1]`` to the
-        gradient flow the scores must fit: ``"linear"`` is
-        ``2x - 1`` (HodgeRank's uniform/arithmetic-mean model,
-        default); ``"logit"`` is the Bradley-Terry log-odds
-        ``log(x / (1 - x))``.
     tol:
-        Solver tolerance (LSQR ``atol``/``btol``; CG ``rtol``).
+        LSQR tolerance (``atol`` and ``btol``).
     max_solver_iterations:
-        Iteration cap for either solver.
-    logit_clip:
-        With ``flow="logit"``, preferences are clipped into
-        ``[clip, 1 - clip]`` so unanimous edges keep a finite flow —
-        the sparse analogue of Step 2's 1-edge smoothing.
+        LSQR iteration cap.
     """
 
-    solver: str = "lsqr"
-    flow: str = "linear"
     tol: float = 1e-8
     max_solver_iterations: int = 2000
-    logit_clip: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.solver not in ("lsqr", "cg"):
-            raise ConfigurationError(
-                f"solver must be 'lsqr' or 'cg', got {self.solver!r}"
-            )
-        if self.flow not in ("linear", "logit"):
-            raise ConfigurationError(
-                f"flow must be 'linear' or 'logit', got {self.flow!r}"
-            )
         if not 0 < self.tol < 1:
             raise ConfigurationError("tol must be in (0, 1)")
         if self.max_solver_iterations < 1:
             raise ConfigurationError("max_solver_iterations must be >= 1")
-        if not 0 < self.logit_clip < 0.5:
-            raise ConfigurationError("logit_clip must be in (0, 0.5)")
 
 
 @dataclass(frozen=True)

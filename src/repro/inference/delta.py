@@ -77,11 +77,6 @@ def reverse_diff_matrix(cost: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(finite.T - finite)
 
 
-def reverse_diff_rows(cost: np.ndarray) -> List[List[float]]:
-    """:func:`reverse_diff_matrix` as a nested list (scalar lookups)."""
-    return reverse_diff_matrix(cost).tolist()
-
-
 # ---------------------------------------------------------------------------
 # Deltas
 # ---------------------------------------------------------------------------
@@ -130,8 +125,8 @@ def reverse_delta(
 ) -> float:
     """``d(P') - d(P)`` for Reverse(first, last); O(last - first).
 
-    ``diff`` must come from :func:`reverse_diff_rows` of the same cost
-    matrix as ``rows``.  When ``diff_matrix`` (the same table as an
+    ``diff`` must be :func:`reverse_diff_matrix` of the same cost matrix
+    as ``rows``, as a nested list (``.tolist()``).  When ``diff_matrix`` (the same table as an
     ndarray) is given, long segments switch to a vectorised gather —
     the scalar loop wins below ~190 internal edges, numpy above.
     """
@@ -203,14 +198,6 @@ def apply_rotate(path: PathLike, first: int, middle: int, last: int) -> None:
         )
     else:
         path[first:last] = path[middle:last] + path[first:middle]
-
-
-def apply_reverse(path: PathLike, first: int, last: int) -> None:
-    """In-place reversal of ``path[first:last]``."""
-    if isinstance(path, np.ndarray):
-        path[first:last] = path[first:last][::-1].copy()
-    else:
-        path[first:last] = path[first:last][::-1]
 
 
 def apply_swap(path: PathLike, i: int, j: int) -> None:

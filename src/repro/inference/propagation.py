@@ -25,6 +25,10 @@ from ..graphs.closure import propagate_exact_paths, propagate_walks
 from ..graphs.digraph import WeightedDigraph
 from ..graphs.preference_graph import PreferenceGraph
 
+#: Largest ``n`` for which ``method="auto"`` enumerates simple paths
+#: exactly; above it the polynomial walk kernel runs.
+_EXACT_THRESHOLD = 9
+
 
 def propagate_matrix(
     smoothed: Union[PreferenceGraph, np.ndarray],
@@ -76,7 +80,7 @@ def propagate_matrix(
         max_hops = _adaptive_hops(n, n_edges)
     method = config.method
     if method == "auto":
-        method = "exact" if n <= config.exact_threshold else "walks"
+        method = "exact" if n <= _EXACT_THRESHOLD else "walks"
     if method == "exact":
         if graph is None:
             graph = WeightedDigraph.from_weight_matrix(direct)

@@ -14,18 +14,22 @@ the difference of their out-/in- edge weights"); the config can cap the
 restart count, since on large complete closures a handful of restarts
 already reaches the plateau the paper reports.
 
-Two move-evaluation kernels share the proposal machinery:
+Two move-evaluation kernels share the proposal machinery, and the input
+picks between them (there is no option):
 
-* the **incremental** kernel (default) scores each proposal by the
+* the **incremental** kernel runs on complete closures — every closure
+  the pipeline and streaming sessions build, since Step 3 clips each
+  weight to at least ``1e-9``.  It scores each proposal by the
   ``d(P') - d(P)`` of the few edges the move actually changes
   (:mod:`repro.inference.delta`), applies accepted moves in place, and
   re-syncs the running cost against a full re-sum every
-  ``resync_every`` accepted moves to bound float drift;
-* the **reference** kernel copies the path and re-sums all ``n - 1``
-  edges per proposal — the pre-optimisation cost model, kept as the
-  benchmark baseline (``benchmarks/bench_saps.py``), as the cross-check
-  oracle in tests, and as the automatic fallback on incomplete closures
-  where ``+inf`` edge costs make deltas ill-defined.
+  ``_RESYNC_EVERY`` accepted moves to bound float drift;
+* the **reference** kernel runs when any edge is missing, where
+  ``+inf`` edge costs make deltas ill-defined.  It copies the path and
+  re-sums all ``n - 1`` edges per proposal, which handles ``+inf``
+  exactly.  The test suite and ``benchmarks/bench_saps.py`` also force
+  it on complete closures as the oracle and baseline of the
+  incremental kernel.
 
 Both kernels draw from the restart's random stream in exactly the same
 order (three index floats + one acceptance float per Rotate, two + one
@@ -73,6 +77,16 @@ _RNG_BLOCK = 256
 
 #: Floats consumed per iteration (Rotate 4, Reverse 3, RandomSwap 3).
 _DRAWS_PER_ITERATION = 10
+
+#: Accepted moves between full re-sums of the incremental running cost.
+#: Each resync is O(n) and bounds the float drift of summed deltas.
+_RESYNC_EVERY = 512
+
+#: When true, the incremental kernel asserts after *every* accepted move
+#: that the running cost matches a full re-sum (1e-9 relative).  O(n) per
+#: accepted move; the test suite and ``bench_saps.py --smoke`` switch it
+#: on.  Read at call time in the process that runs the anneal.
+_DEBUG_CHECKS = False
 
 
 @dataclass(frozen=True)
@@ -171,13 +185,8 @@ def saps_search_report(
     if config.scale_with_objects and n > 100:
         iterations = int(config.iterations * n / 100)
 
-    # Incremental deltas need finite edge costs everywhere a move could
-    # look; any missing edge (incomplete closure) falls back to the
-    # full-re-sum reference kernel, which handles +inf exactly.
-    off_diagonal = ~np.eye(n, dtype=bool)
-    complete = bool(np.isfinite(cost[off_diagonal]).all())
-    kernel = config.kernel if complete else "reference"
-    shared = _RestartShared(matrix=matrix, cost=cost, kernel=kernel,
+    shared = _RestartShared(matrix=matrix, cost=cost,
+                            kernel=_select_kernel(cost),
                             iterations=iterations, config=config)
 
     # One child stream per restart: restarts become order-independent
@@ -279,9 +288,17 @@ def _initial_path(
     return np.array(path, dtype=np.int64)
 
 
-def _path_cost(cost: np.ndarray, path) -> float:
-    """``d(P) = sum -log w`` along consecutive pairs (vectorised)."""
-    return path_cost(cost, path)
+def _select_kernel(cost: np.ndarray) -> str:
+    """``"incremental"`` on a complete closure, else ``"reference"``.
+
+    Incremental deltas need a finite edge cost everywhere a move could
+    look; any missing edge falls back to the full-re-sum kernel, which
+    handles ``+inf`` exactly.
+    """
+    off_diagonal = ~np.eye(cost.shape[0], dtype=bool)
+    if np.isfinite(cost[off_diagonal]).all():
+        return "incremental"
+    return "reference"
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +410,7 @@ def _anneal_incremental(
     since_resync = 0
     temperature = config.temperature
     cooling = config.cooling_rate
-    resync_every = config.resync_every
-    debug = config.debug_checks
+    debug = _DEBUG_CHECKS
     exp = math.exp
 
     def after_accept(delta: float) -> None:
@@ -408,7 +424,7 @@ def _anneal_incremental(
                 f"incremental cost drifted: running={current!r} "
                 f"recomputed={resummed!r}"
             )
-        if since_resync >= resync_every:
+        if since_resync >= _RESYNC_EVERY:
             current = path_cost(cost, path)
             since_resync = 0
         if current < best_cost:
@@ -471,10 +487,10 @@ def _anneal_reference(
 ) -> Tuple[float, List[int], int, int]:
     """One restart with full re-evaluation per proposal.
 
-    Every proposal copies the path and re-sums all ``n - 1`` edges —
-    the pre-optimisation cost model.  Kept as the benchmark baseline,
-    the cross-check oracle, and the only kernel that handles ``+inf``
-    edges (incomplete closures) exactly.
+    Every proposal copies the path and re-sums all ``n - 1`` edges.  The
+    only kernel that handles ``+inf`` edges (incomplete closures)
+    exactly; also the oracle and benchmark baseline of the incremental
+    kernel.
     """
     path = initial
     current = path_cost(cost, path)

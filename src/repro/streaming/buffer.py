@@ -8,14 +8,13 @@ tables from scratch per vote is O(total votes) per ingest.
 
 :class:`VoteBuffer` is the mutable counterpart: per-vote columns live in
 amortized-doubling ``numpy`` buffers (appends are O(1) amortized), and
-the pair/worker id tables are maintained as first-seen dictionaries.
-:meth:`snapshot` materialises a :class:`~repro.types.VoteArrays` that is
-**bit-identical** to ``VoteArrays.from_votes`` over the same vote
-sequence — the sorted pair/worker tables are produced by ranking the
-first-seen slots, exactly matching ``np.unique``'s output — so every
-downstream kernel (truth discovery, smoothing, SAPS) sees the same
-arrays whether votes arrived in one batch or one at a time (pinned by
-the differential tests).  Snapshots are cached until the next append.
+:meth:`snapshot` hands the three id columns to
+:meth:`~repro.types.VoteArrays.from_columns`, the same encoder
+``VoteArrays.from_votes`` uses, so a snapshot is **bit-identical** to the
+batch build over the same vote sequence and every downstream kernel
+(truth discovery, smoothing, SAPS) sees the same arrays whether votes
+arrived in one batch or one at a time (pinned by the differential
+tests).  Snapshots are cached until the next append.
 
 Rows already written are never rewritten, so snapshot per-vote columns
 are cheap views of the growth buffers, not copies; like every
@@ -24,12 +23,12 @@ are cheap views of the growth buffers, not copies; like every
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
 from ..exceptions import ConfigurationError
-from ..types import Pair, Vote, VoteArrays, VoteSet, WorkerId
+from ..types import Vote, VoteArrays, VoteSet
 
 #: Initial capacity of the per-vote growth buffers.
 _MIN_CAPACITY = 64
@@ -57,14 +56,6 @@ class VoteBuffer:
         self._winner = np.empty(_MIN_CAPACITY, dtype=np.int64)
         self._loser = np.empty(_MIN_CAPACITY, dtype=np.int64)
         self._worker = np.empty(_MIN_CAPACITY, dtype=np.int64)
-        self._pair_slot = np.empty(_MIN_CAPACITY, dtype=np.int64)
-        self._worker_slot = np.empty(_MIN_CAPACITY, dtype=np.int64)
-        # First-seen id tables; snapshot() sorts them into the canonical
-        # order and remaps the per-vote slot columns through the ranks.
-        self._pair_slots: Dict[Pair, int] = {}
-        self._pair_list: List[Pair] = []
-        self._worker_slots: Dict[WorkerId, int] = {}
-        self._worker_list: List[WorkerId] = []
         self._snapshot: Optional[VoteArrays] = None
         self.extend(votes)
 
@@ -78,49 +69,51 @@ class VoteBuffer:
 
     @property
     def n_pairs(self) -> int:
-        return len(self._pair_list)
+        return self.snapshot().n_pairs
 
     @property
     def n_workers(self) -> int:
-        return len(self._worker_list)
+        return self.snapshot().n_workers
 
     # -- growth ---------------------------------------------------------------
     def append(self, vote: Vote) -> None:
         """Append one vote (O(1) amortized)."""
-        if not (0 <= vote.winner < self.n_objects
-                and 0 <= vote.loser < self.n_objects):
-            raise ConfigurationError(
-                f"vote compares objects ({vote.winner}, {vote.loser}) "
-                f"outside [0, {self.n_objects})"
-            )
-        row = self._size
-        if row == self._winner.shape[0]:
-            self._grow()
-        pair = vote.pair
-        pair_slot = self._pair_slots.get(pair)
-        if pair_slot is None:
-            pair_slot = len(self._pair_list)
-            self._pair_slots[pair] = pair_slot
-            self._pair_list.append(pair)
-        worker_slot = self._worker_slots.get(vote.worker)
-        if worker_slot is None:
-            worker_slot = len(self._worker_list)
-            self._worker_slots[vote.worker] = worker_slot
-            self._worker_list.append(vote.worker)
-        self._winner[row] = vote.winner
-        self._loser[row] = vote.loser
-        self._worker[row] = vote.worker
-        self._pair_slot[row] = pair_slot
-        self._worker_slot[row] = worker_slot
-        self._size = row + 1
-        self._snapshot = None
+        self.extend((vote,))
 
     def extend(self, votes: Iterable[Vote]) -> int:
-        """Append many votes; returns how many were appended."""
-        before = self._size
-        for vote in votes:
-            self.append(vote)
-        return self._size - before
+        """Append many votes; returns how many were appended.
+
+        The object range is checked for the whole batch before any row
+        is written, so a rejected batch leaves the buffer unchanged.
+        """
+        votes = list(votes)
+        count = len(votes)
+        if not count:
+            return 0
+        winner = np.fromiter((v.winner for v in votes), dtype=np.int64,
+                             count=count)
+        loser = np.fromiter((v.loser for v in votes), dtype=np.int64,
+                            count=count)
+        bad = ((winner < 0) | (winner >= self.n_objects)
+               | (loser < 0) | (loser >= self.n_objects))
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ConfigurationError(
+                f"vote compares objects ({winner[row]}, {loser[row]}) "
+                f"outside [0, {self.n_objects})"
+            )
+        start = self._size
+        end = start + count
+        while end > self._winner.shape[0]:
+            self._grow()
+        self._winner[start:end] = winner
+        self._loser[start:end] = loser
+        self._worker[start:end] = np.fromiter(
+            (v.worker for v in votes), dtype=np.int64, count=count
+        )
+        self._size = end
+        self._snapshot = None
+        return count
 
     def _grow(self) -> None:
         """Double every per-vote growth buffer.
@@ -129,8 +122,7 @@ class VoteBuffer:
         rows are never mutated, so those views remain valid.
         """
         capacity = 2 * self._winner.shape[0]
-        for name in ("_winner", "_loser", "_worker", "_pair_slot",
-                     "_worker_slot"):
+        for name in ("_winner", "_loser", "_worker"):
             old = getattr(self, name)
             new = np.empty(capacity, dtype=np.int64)
             new[: self._size] = old[: self._size]
@@ -141,48 +133,16 @@ class VoteBuffer:
         """The current votes as frozen columnar arrays (cached).
 
         Bit-identical to ``VoteArrays.from_votes(n_objects, votes)`` on
-        the same vote sequence: the pair table sorted lexicographically,
-        the worker table sorted by id, per-vote indices pointing into
-        them.
+        the same vote sequence: both go through
+        :meth:`~repro.types.VoteArrays.from_columns`.
         """
-        if self._snapshot is not None:
-            return self._snapshot
-        size = self._size
-        winner = self._winner[:size]
-        loser = self._loser[:size]
-        pair_lo_slots = np.fromiter(
-            (p[0] for p in self._pair_list), dtype=np.int64,
-            count=len(self._pair_list),
-        )
-        pair_hi_slots = np.fromiter(
-            (p[1] for p in self._pair_list), dtype=np.int64,
-            count=len(self._pair_list),
-        )
-        # Rank the first-seen slots into lexicographic (lo, hi) order —
-        # the order np.unique over encoded keys produces in from_votes.
-        pair_order = np.lexsort((pair_hi_slots, pair_lo_slots))
-        pair_rank = np.empty_like(pair_order)
-        pair_rank[pair_order] = np.arange(pair_order.shape[0])
-        worker_slots = np.fromiter(
-            (w for w in self._worker_list), dtype=np.int64,
-            count=len(self._worker_list),
-        )
-        worker_order = np.argsort(worker_slots, kind="stable")
-        worker_rank = np.empty_like(worker_order)
-        worker_rank[worker_order] = np.arange(worker_order.shape[0])
-        snapshot = VoteArrays(
-            n_objects=self.n_objects,
-            winner=winner,
-            loser=loser,
-            worker_idx=worker_rank[self._worker_slot[:size]],
-            pair_idx=pair_rank[self._pair_slot[:size]],
-            value=(winner < loser).astype(np.float64),
-            pair_lo=pair_lo_slots[pair_order],
-            pair_hi=pair_hi_slots[pair_order],
-            worker_ids=worker_slots[worker_order],
-        )
-        self._snapshot = snapshot
-        return snapshot
+        if self._snapshot is None:
+            size = self._size
+            self._snapshot = VoteArrays.from_columns(
+                self.n_objects, self._winner[:size], self._loser[:size],
+                self._worker[:size],
+            )
+        return self._snapshot
 
     def to_vote_set(self) -> VoteSet:
         """A frozen :class:`~repro.types.VoteSet` of the current votes.

@@ -28,6 +28,7 @@ the SAPS anneal from the stored ranking.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 import uuid
@@ -320,6 +321,9 @@ def session_config_from_payload(
     ``"pipeline"`` sub-dict (same partial-config codec as batch jobs,
     :func:`repro.service.jobs.config_from_payload`) plus any of the flat
     :class:`SessionConfig` knobs; omitted keys fall back to defaults.
+    Values must already have their JSON type (booleans for ``bool``
+    knobs, integers for ``int`` knobs, an integer or null for ``seed``);
+    a wrong type or an invalid value raises :class:`DataFormatError`.
     """
     from ..service.jobs import config_from_payload
 
@@ -330,44 +334,61 @@ def session_config_from_payload(
             f"{source}: session config must be a JSON object, "
             f"got {type(payload).__name__}"
         )
-    known = {
-        "pipeline", "seed", "stability_window", "stability_threshold",
-        "min_votes", "early_stop", "warm_iterations",
-        "quality_shift_threshold", "truth_damping",
-        "full_rebuild_fraction", "scorer",
-    }
-    unknown = sorted(set(payload) - known)
+    flat = dict(payload)
+    try:
+        pipeline = config_from_payload(
+            flat.pop("pipeline", {}), source=f"{source}.pipeline"
+        )
+        return SessionConfig(pipeline=pipeline,
+                             **_session_fields(flat, source))
+    except ConfigurationError as error:
+        raise DataFormatError(
+            f"{source}: malformed session config ({error})"
+        ) from None
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: JSON check per flat :class:`SessionConfig` field annotation, with the
+#: expected type for the error message.  ``float`` fields take any JSON
+#: number; nothing is coerced from strings or truncated from floats.
+_FIELD_CHECKS = {
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "SeedLike": (lambda v: v is None or (_is_int(v) and v >= 0),
+                 "a non-negative integer or null"),
+}
+
+
+def _session_fields(payload: Dict[str, object],
+                    source: str) -> Dict[str, object]:
+    """Type-check the flat :class:`SessionConfig` keys of a payload.
+
+    Keys and types come from the dataclass itself; only the keys present
+    are returned, so omitted ones keep the dataclass defaults.
+    """
+    annotations = {f.name: f.type for f in dataclasses.fields(SessionConfig)
+                   if f.name != "pipeline"}
+    unknown = sorted(set(payload) - set(annotations))
     if unknown:
         raise DataFormatError(
             f"{source}: unknown session config key(s) {unknown}"
         )
-    try:
-        pipeline = config_from_payload(
-            payload.get("pipeline", {}), source=f"{source}.pipeline"
-        )
-        return SessionConfig(
-            pipeline=pipeline,
-            seed=payload.get("seed", 0),
-            stability_window=int(payload.get("stability_window", 5)),
-            stability_threshold=float(
-                payload.get("stability_threshold", 0.02)
-            ),
-            min_votes=int(payload.get("min_votes", 0)),
-            early_stop=bool(payload.get("early_stop", True)),
-            warm_iterations=int(payload.get("warm_iterations", 1500)),
-            quality_shift_threshold=float(
-                payload.get("quality_shift_threshold", 0.25)
-            ),
-            truth_damping=float(payload.get("truth_damping", 0.5)),
-            full_rebuild_fraction=float(
-                payload.get("full_rebuild_fraction", 0.5)
-            ),
-            scorer=str(payload.get("scorer", "bdp")),
-        )
-    except (ValueError, TypeError, ConfigurationError) as error:
-        raise DataFormatError(
-            f"{source}: malformed session config ({error})"
-        ) from None
+    kwargs: Dict[str, object] = {}
+    for name, value in payload.items():
+        check, expected = _FIELD_CHECKS[annotations[name]]
+        if not check(value):
+            raise DataFormatError(
+                f"{source}: session config {name} must be {expected}, "
+                f"got {value!r}"
+            )
+        kwargs[name] = float(value) if annotations[name] == "float" \
+            else value
+    return kwargs
 
 
 def votes_from_payload(
@@ -425,18 +446,9 @@ def session_to_payload(session: RankingSession) -> Dict[str, object]:
                 **config_to_payload(session.config.pipeline),
             },
             "session_config": {
-                "seed": session.config.seed,
-                "stability_window": session.config.stability_window,
-                "stability_threshold": session.config.stability_threshold,
-                "min_votes": session.config.min_votes,
-                "early_stop": session.config.early_stop,
-                "warm_iterations": session.config.warm_iterations,
-                "quality_shift_threshold":
-                    session.config.quality_shift_threshold,
-                "truth_damping": session.config.truth_damping,
-                "full_rebuild_fraction":
-                    session.config.full_rebuild_fraction,
-                "scorer": session.config.scorer,
+                f.name: getattr(session.config, f.name)
+                for f in dataclasses.fields(SessionConfig)
+                if f.name != "pipeline"
             },
             "votes": [
                 [vote.worker, vote.winner, vote.loser]
@@ -474,23 +486,10 @@ def session_from_payload(
         )
     try:
         pipeline = config_from_payload(payload.get("config", {}), source)
-        sc = dict(payload.get("session_config", {}))
         config = SessionConfig(
             pipeline=pipeline,
-            seed=sc.get("seed", 0),
-            stability_window=int(sc.get("stability_window", 5)),
-            stability_threshold=float(sc.get("stability_threshold", 0.02)),
-            min_votes=int(sc.get("min_votes", 0)),
-            early_stop=bool(sc.get("early_stop", True)),
-            warm_iterations=int(sc.get("warm_iterations", 1500)),
-            quality_shift_threshold=float(
-                sc.get("quality_shift_threshold", 0.25)
-            ),
-            truth_damping=float(sc.get("truth_damping", 0.5)),
-            full_rebuild_fraction=float(
-                sc.get("full_rebuild_fraction", 0.5)
-            ),
-            scorer=str(sc.get("scorer", "bdp")),
+            **_session_fields(dict(payload.get("session_config", {})),
+                              source),
         )
         session = RankingSession(
             session_id=str(payload["session_id"]),

@@ -212,7 +212,8 @@ class VoteArrays:
     objects in Python loops; this type flattens them **once** into
     parallel ``numpy`` arrays so Steps 1-3 and the baselines can run as
     pure array kernels.  Built via :meth:`VoteSet.arrays` (cached on the
-    vote set) or :meth:`from_votes`.
+    vote set), :meth:`from_votes`, or :meth:`from_columns` over per-vote
+    id columns (the streaming vote buffer's path).
 
     Per-vote arrays (all of length ``n_votes``, in original vote order):
 
@@ -246,12 +247,25 @@ class VoteArrays:
     def from_votes(n_objects: int, votes: Sequence[Vote]) -> "VoteArrays":
         """Flatten a sequence of votes into columnar arrays."""
         count = len(votes)
-        winner = np.fromiter((v.winner for v in votes), dtype=np.int64,
-                             count=count)
-        loser = np.fromiter((v.loser for v in votes), dtype=np.int64,
-                            count=count)
-        worker = np.fromiter((v.worker for v in votes), dtype=np.int64,
-                             count=count)
+        return VoteArrays.from_columns(
+            n_objects,
+            np.fromiter((v.winner for v in votes), dtype=np.int64,
+                        count=count),
+            np.fromiter((v.loser for v in votes), dtype=np.int64,
+                        count=count),
+            np.fromiter((v.worker for v in votes), dtype=np.int64,
+                        count=count),
+        )
+
+    @staticmethod
+    def from_columns(n_objects: int, winner: np.ndarray, loser: np.ndarray,
+                     worker: np.ndarray) -> "VoteArrays":
+        """Build the id tables over per-vote ``int64`` columns.
+
+        ``winner`` and ``loser`` are stored as given (no copy), so
+        callers must not mutate them afterwards.
+        """
+        count = winner.shape[0]
         lo = np.minimum(winner, loser)
         hi = np.maximum(winner, loser)
         value = (winner == lo).astype(np.float64)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.acquisition import AcquisitionPolicy, BudgetLedger
 from repro.adaptive import (
-    _interim_closure,
+    _interim_inference,
     _most_uncertain_pairs,
     adaptive_rank,
 )
@@ -90,9 +90,9 @@ class TestColumnarInterim:
                 rng.choice(n, size=2, replace=False) for _ in range(150)
             )
         ]
-        closure_col = _interim_closure(
+        closure_col = _interim_inference(
             n, votes, FAST_PIPELINE, np.random.default_rng(5)
-        )
+        )[0]
         closure_obj = object_closure(
             VoteSet.from_votes(n, votes), FAST_PIPELINE,
             np.random.default_rng(5),

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from repro.workers.backends import (
     SerialBackend,
     resolve_backend,
 )
+from tests.oracles.saps_reference import drift_checks, reference_kernel
 
 BACKENDS = ("serial", "process")
 
@@ -75,18 +77,38 @@ class TestSAPSEquivalence:
     @pytest.mark.parametrize("kernel", ["incremental", "reference"])
     def test_rankings_bit_identical(self, kernel):
         matrix = _preference_matrix(18, seed=5)
+        force = reference_kernel() if kernel == "reference" else nullcontext()
         reports = {}
-        for backend in BACKENDS:
-            config = SAPSConfig(
-                iterations=600, restarts=3, scale_with_objects=False,
-                parallel_restarts=3, kernel=kernel, backend=backend,
-            )
-            reports[backend] = saps_search_report(matrix, config, rng=99)
+        with force:
+            for backend in BACKENDS:
+                config = SAPSConfig(
+                    iterations=600, restarts=3, scale_with_objects=False,
+                    parallel_restarts=3, backend=backend,
+                )
+                reports[backend] = saps_search_report(matrix, config, rng=99)
         oracle, report = reports["serial"], reports["process"]
         assert report.ranking == oracle.ranking
         assert report.log_preference == oracle.log_preference
         assert report.accepted_moves == oracle.accepted_moves
         assert report.proposed_moves == oracle.proposed_moves
+
+    def test_kernels_agree_on_every_backend(self):
+        """The incremental kernel (drift-checked) matches the reference
+        oracle on the serial and process backends alike."""
+        matrix = _preference_matrix(18, seed=5)
+        for backend in BACKENDS:
+            config = SAPSConfig(
+                iterations=600, restarts=3, scale_with_objects=False,
+                parallel_restarts=3, backend=backend,
+            )
+            with drift_checks():
+                inc = saps_search_report(matrix, config, rng=99)
+            with reference_kernel():
+                ref = saps_search_report(matrix, config, rng=99)
+            assert inc.ranking == ref.ranking
+            assert inc.log_preference == pytest.approx(ref.log_preference,
+                                                       abs=1e-9)
+            assert inc.accepted_moves == ref.accepted_moves
 
     def test_backend_instance_accepted(self):
         matrix = _preference_matrix(10, seed=2)

@@ -1,5 +1,7 @@
 """Unit tests for repro.config validation."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import (
@@ -65,7 +67,7 @@ class TestPropagationConfig:
             {"alpha": 1.1},
             {"max_hops": 1},
             {"method": "magic"},
-            {"exact_threshold": 1},
+            {"max_hops": 0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -120,3 +122,29 @@ class TestPipelineConfig:
 
     def test_fast_preset_valid(self):
         assert FAST_PIPELINE.saps.iterations < PipelineConfig().saps.iterations
+
+
+def _leaf_fields(cls, prefix=""):
+    """Dotted names of every independently settable leaf field."""
+    names = []
+    for f in dataclasses.fields(cls):
+        if f.default_factory is not dataclasses.MISSING:
+            names += _leaf_fields(type(f.default_factory()), f"{f.name}.")
+        else:
+            names.append(prefix + f.name)
+    return names
+
+
+class TestSettableSurface:
+    """Selectors production never set are not config fields."""
+
+    def test_pipeline_has_27_leaf_fields(self):
+        assert len(_leaf_fields(PipelineConfig)) == 27
+
+    def test_removed_fields_are_gone(self):
+        leaves = {name.rsplit(".", 1)[-1]
+                  for name in _leaf_fields(PipelineConfig)}
+        assert leaves.isdisjoint({
+            "kernel", "resync_every", "debug_checks", "criterion",
+            "exact_threshold", "solver", "flow", "logit_clip",
+        })

@@ -5,17 +5,21 @@ import math
 import numpy as np
 import pytest
 
+from repro.config import SAPSConfig
 from repro.exceptions import GraphError, InferenceError
 from repro.graphs import WeightedDigraph
 from repro.graphs.hamiltonian import (
-    best_hamiltonian_path_dp,
-    greedy_hamiltonian_path,
     has_hamiltonian_path,
     hamiltonian_path_log_probability,
     path_log_preference,
+)
+from repro.inference.saps import _initial_path
+from repro.types import Ranking
+from tests.oracles.hamiltonian import (
+    best_hamiltonian_path_dp,
+    greedy_hamiltonian_path,
     weight_difference_order,
 )
-from repro.types import Ranking
 
 
 def complete_graph(weights):
@@ -152,3 +156,35 @@ class TestGreedyPath:
 class TestWeightDifferenceOrder:
     def test_winner_floats_to_front(self, sharp_graph):
         assert weight_difference_order(sharp_graph) == [0, 1, 2, 3]
+
+
+def random_closure(n, rng):
+    """A complete Step-3-shaped closure: ``w_ij + w_ji = 1``."""
+    upper = rng.uniform(0.02, 0.98, size=(n, n))
+    weights = np.triu(upper, k=1)
+    weights = weights + np.tril(1.0 - upper.T, k=-1)
+    np.fill_diagonal(weights, 0.0)
+    return weights
+
+
+class TestSAPSInitialPathOracles:
+    """The graph-object oracles agree with SAPS's matrix initial paths."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_greedy_and_degree_branches(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 16))
+        weights = random_closure(n, rng)
+        graph = complete_graph(weights)
+        with np.errstate(divide="ignore"):
+            cost = -np.log(weights)
+        np.fill_diagonal(cost, np.inf)
+        degree_order = weight_difference_order(graph)
+        for start in range(n):
+            greedy = _initial_path(weights, cost, start,
+                                   SAPSConfig(init="greedy"), rng)
+            assert greedy.tolist() == greedy_hamiltonian_path(graph, start)
+            degree = _initial_path(weights, cost, start,
+                                   SAPSConfig(init="degree"), rng)
+            expected = [start] + [v for v in degree_order if v != start]
+            assert degree.tolist() == expected

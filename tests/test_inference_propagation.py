@@ -65,7 +65,7 @@ class TestPropagateMatrix:
     def test_auto_selects_exact_for_small_n(self, smoothed_chain):
         auto = propagate_matrix(
             smoothed_chain,
-            PropagationConfig(method="auto", exact_threshold=9, max_hops=3),
+            PropagationConfig(method="auto", max_hops=3),
         )
         exact = propagate_matrix(
             smoothed_chain, PropagationConfig(method="exact", max_hops=3)

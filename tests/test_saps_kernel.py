@@ -15,20 +15,20 @@ import pytest
 
 from repro.config import SAPSConfig
 from repro.exceptions import ConfigurationError, InferenceError
+from repro.inference import saps
 from repro.inference.delta import (
-    apply_reverse,
     apply_rotate,
     apply_swap,
     cost_rows,
     path_cost,
     reverse_delta,
     reverse_diff_matrix,
-    reverse_diff_rows,
     rotate_delta,
     swap_delta,
 )
 from repro.inference.saps import saps_search, saps_search_report
 from repro.workers import parallel_map
+from tests.oracles.saps_reference import drift_checks, reference_kernel
 
 
 def random_closure(n, seed):
@@ -72,7 +72,7 @@ class TestDeltas:
     def test_reverse_delta_matches_resum(self, n):
         cost = random_cost(n, seed=n)
         rows = cost_rows(cost)
-        diff = reverse_diff_rows(cost)
+        diff = reverse_diff_matrix(cost).tolist()
         rng = np.random.default_rng(n + 2)
         for _ in range(200):
             path = list(rng.permutation(n))
@@ -80,7 +80,7 @@ class TestDeltas:
             last = int(rng.integers(first + 2, n + 1))
             before = path_cost(cost, path)
             delta = reverse_delta(rows, diff, path, first, last)
-            apply_reverse(path, first, last)
+            path[first:last] = path[first:last][::-1]
             assert delta == pytest.approx(path_cost(cost, path) - before,
                                           abs=1e-9)
 
@@ -127,16 +127,11 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("n", [2, 3, 10, 50])
     def test_kernels_agree(self, n):
         matrix = random_closure(n, seed=n)
-        base = dict(iterations=400, restarts=2)
-        inc = saps_search_report(
-            matrix,
-            SAPSConfig(**base, kernel="incremental", debug_checks=True,
-                       resync_every=64),
-            rng=7,
-        )
-        ref = saps_search_report(
-            matrix, SAPSConfig(**base, kernel="reference"), rng=7
-        )
+        config = SAPSConfig(iterations=400, restarts=2)
+        with drift_checks(resync_every=64):
+            inc = saps_search_report(matrix, config, rng=7)
+        with reference_kernel():
+            ref = saps_search_report(matrix, config, rng=7)
         assert inc.ranking == ref.ranking
         assert inc.log_preference == pytest.approx(ref.log_preference,
                                                    abs=1e-9)
@@ -145,32 +140,47 @@ class TestKernelEquivalence:
 
     @pytest.mark.parametrize("n", [2, 3, 10, 50])
     def test_incremental_cost_never_drifts(self, n):
-        """``debug_checks`` asserts running == re-summed after *every*
+        """The drift check asserts running == re-summed after *every*
         accepted move; a huge resync interval means the check alone
         guards the drift across the whole run."""
         matrix = random_closure(n, seed=n + 100)
-        report = saps_search_report(
-            matrix,
-            SAPSConfig(iterations=600, restarts=1, kernel="incremental",
-                       debug_checks=True, resync_every=10**9),
-            rng=3,
-        )
+        with drift_checks(resync_every=10**9):
+            report = saps_search_report(
+                matrix, SAPSConfig(iterations=600, restarts=1), rng=3,
+            )
         assert report.proposed_moves == 600 * 3
 
+    def test_drift_check_catches_a_wrong_delta(self, monkeypatch):
+        """The drift check is live: a swap delta that is off by 1e-3
+        trips it on the first accepted swap."""
+        real = saps.swap_delta
+        monkeypatch.setattr(saps, "swap_delta",
+                            lambda *args: real(*args) + 1e-3)
+        matrix = random_closure(10, seed=4)
+        with drift_checks(), pytest.raises(AssertionError, match="drifted"):
+            saps_search_report(
+                matrix, SAPSConfig(iterations=400, restarts=1), rng=3,
+            )
+
+    def test_complete_closure_runs_incremental(self):
+        cost = -np.log(random_closure(6, seed=1) + np.eye(6))
+        np.fill_diagonal(cost, np.inf)
+        assert saps._select_kernel(cost) == "incremental"
+        cost[2, 4] = np.inf
+        assert saps._select_kernel(cost) == "reference"
+
     def test_incomplete_closure_falls_back_to_reference(self):
-        """Any missing edge forces the reference kernel (inf-safe); the
-        result must match an explicit reference run exactly."""
+        """Any missing edge selects the reference kernel (inf-safe); the
+        result must match a run forced onto the reference oracle."""
         matrix = random_closure(8, seed=5)
         matrix[2, 6] = 0.0  # knock out one direction
-        config_inc = SAPSConfig(iterations=300, restarts=2,
-                                kernel="incremental")
-        config_ref = SAPSConfig(iterations=300, restarts=2,
-                                kernel="reference")
-        inc = saps_search_report(matrix, config_inc, rng=11)
-        ref = saps_search_report(matrix, config_ref, rng=11)
-        assert inc.ranking == ref.ranking
-        assert inc.log_preference == ref.log_preference
-        assert math.isfinite(inc.log_preference)
+        config = SAPSConfig(iterations=300, restarts=2)
+        chosen = saps_search_report(matrix, config, rng=11)
+        with reference_kernel():
+            ref = saps_search_report(matrix, config, rng=11)
+        assert chosen.ranking == ref.ranking
+        assert chosen.log_preference == ref.log_preference
+        assert math.isfinite(chosen.log_preference)
 
     def test_incomplete_graph_still_raises_without_path(self):
         matrix = np.zeros((4, 4))
@@ -198,13 +208,14 @@ class TestParallelRestarts:
 
     def test_serial_equals_parallel_reference_kernel(self):
         matrix = random_closure(10, seed=77)
-        base = dict(iterations=150, restarts=3, kernel="reference")
-        serial = saps_search_report(
-            matrix, SAPSConfig(**base, parallel_restarts=1), rng=5
-        )
-        parallel = saps_search_report(
-            matrix, SAPSConfig(**base, parallel_restarts=3), rng=5
-        )
+        base = dict(iterations=150, restarts=3)
+        with reference_kernel():
+            serial = saps_search_report(
+                matrix, SAPSConfig(**base, parallel_restarts=1), rng=5
+            )
+            parallel = saps_search_report(
+                matrix, SAPSConfig(**base, parallel_restarts=3), rng=5
+            )
         assert serial.ranking == parallel.ranking
         assert serial.log_preference == parallel.log_preference
 

@@ -150,6 +150,7 @@ class TestSessionErrors:
         {"n_objects": True},                  # bool is not an int here
         {"n_objects": 0},                     # out of range
         {"n_objects": 5, "config": {"bogus": 1}},
+        {"n_objects": 5, "config": {"seed": "abc"}},  # not a 500
     ])
     def test_bad_create_400(self, server, body):
         status, decoded = _request(

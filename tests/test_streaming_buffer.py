@@ -122,6 +122,15 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             buffer.append(vote)
 
+    def test_rejected_batch_leaves_buffer_unchanged(self):
+        buffer = VoteBuffer(5, [Vote(worker=0, winner=0, loser=1)])
+        before = buffer.snapshot()
+        with pytest.raises(ConfigurationError):
+            buffer.extend([Vote(worker=1, winner=2, loser=3),
+                           Vote(worker=1, winner=2, loser=7)])
+        assert len(buffer) == 1
+        assert buffer.snapshot() is before
+
     def test_n_objects_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             VoteBuffer(0)

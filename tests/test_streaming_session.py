@@ -271,6 +271,34 @@ class TestPayloadCodecs:
     def test_session_config_unknown_key_rejected(self):
         with pytest.raises(DataFormatError):
             session_config_from_payload({"stability_windw": 3})
+        # Strict JSON types: no string-to-bool, no float truncation, no
+        # seed that only fails later inside the RNG.
+        for bad in (
+            {"early_stop": "false"},
+            {"early_stop": 0},
+            {"seed": "abc"},
+            {"seed": 1.5},
+            {"seed": True},
+            {"seed": -1},
+            {"min_votes": 2.7},
+            {"min_votes": True},
+            {"stability_window": "5"},
+            {"stability_threshold": "0.1"},
+            {"scorer": 3},
+            {"min_votes": -1},
+            {"pipeline": {"saps": {"kernel": "reference"}}},
+        ):
+            with pytest.raises(DataFormatError):
+                session_config_from_payload(bad)
+
+    def test_session_config_keeps_json_types(self):
+        config = session_config_from_payload({
+            "seed": None, "stability_threshold": 1, "min_votes": 3,
+        })
+        assert config.seed is None
+        assert config.stability_threshold == 1.0
+        assert isinstance(config.stability_threshold, float)
+        assert config.min_votes == 3
 
 
 class TestEngineGuards:
