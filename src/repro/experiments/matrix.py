@@ -206,12 +206,14 @@ def run_cell(
                 budget=plan.budget.total, reward=REWARD,
                 rng=_family_rng(family, seed, 4),
             )
+            affordable = platform.remaining_queries()
             result, _ = adaptive_rank(
                 platform, config=config, rng=infer_rng, policy=engine,
                 rounds=rounds,
             )
             ranking = result.ranking
-            n_votes = len(platform.events.of_kind("vote"))
+            # Each query pays exactly one comparison.
+            n_votes = affordable - platform.remaining_queries()
         timings.append(time.perf_counter() - start)
         accuracies.append(
             ranking_accuracy(ranking, scenario.ground_truth)

@@ -162,12 +162,16 @@ def run_baseline_arm(
             reward=plan.budget.reward,
             rng=generator,
         )
+        affordable = platform.remaining_queries()
         start = time.perf_counter()
         ranking = crowd_bt_rank(
             platform, n_workers=len(scenario.pool), rng=generator
         )
         seconds = time.perf_counter() - start
-        extras: Dict[str, object] = {"queries": len(platform.events.of_kind("vote"))}
+        # Each query pays exactly one comparison.
+        extras: Dict[str, object] = {
+            "queries": affordable - platform.remaining_queries()
+        }
     else:
         if votes is None:
             votes = collect_votes(scenario, generator)

@@ -16,7 +16,6 @@ from ..exceptions import AssignmentError, BudgetError
 from ..rng import SeedLike, ensure_rng
 from ..types import Ranking, Vote
 from ..workers.pool import WorkerPool
-from .events import EventLog
 from .pricing import PaymentLedger
 
 
@@ -36,16 +35,11 @@ class InteractivePlatform:
         self._pool = pool
         self._truth = ground_truth
         self._ledger = PaymentLedger(budget=budget, reward_per_comparison=reward)
-        self._events = EventLog()
         self._rng = ensure_rng(rng)
 
     @property
     def ledger(self) -> PaymentLedger:
         return self._ledger
-
-    @property
-    def events(self) -> EventLog:
-        return self._events
 
     @property
     def n_objects(self) -> int:
@@ -73,8 +67,5 @@ class InteractivePlatform:
             worker_id = int(self._rng.integers(len(self._pool)))
         worker = self._pool[worker_id]
         vote = worker.vote(i, j, self._truth)
-        self._ledger.pay(worker_id, n_comparisons=1)
-        self._events.record(
-            "vote", worker=worker_id, winner=vote.winner, loser=vote.loser
-        )
+        self._ledger.pay()
         return vote

@@ -1,10 +1,11 @@
-"""Payment ledger: tracks per-worker earnings against the budget.
+"""Payment ledger: tracks the requester's spend against the budget.
 
 Each pairwise comparison answered earns the worker the fixed reward ``r``
 (Sec. II: "each pairwise comparison receives a reward r, which is the same
-for all workers").  The ledger rejects payments that would overdraw the
-requester's budget, which is how the simulator *enforces* (rather than
-merely assumes) the paper's budget constraint.
+for all workers").  Because the reward is the same for everyone, the
+ledger keeps one total, not per-worker accounts.  It rejects payments
+that would overdraw the requester's budget, which is how the simulator
+*enforces* (rather than merely assumes) the paper's budget constraint.
 
 Bookkeeping is integral: the ledger counts paid comparisons and derives
 money amounts as ``count * reward``, so a hundred thousand 2.5-cent
@@ -13,10 +14,7 @@ payments cannot drift past the budget through float accumulation.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from ..exceptions import BudgetError
-from ..types import WorkerId
 
 
 class PaymentLedger:
@@ -34,7 +32,6 @@ class PaymentLedger:
         #: Budget expressed in whole comparisons (floor, as in Sec. II).
         self._budget_units = int(self._budget / self._reward + 1e-9)
         self._units_paid = 0
-        self._earned_units: Dict[WorkerId, int] = {}
 
     @property
     def budget(self) -> float:
@@ -57,8 +54,8 @@ class PaymentLedger:
         """Whether ``n_comparisons`` more single-answer payments fit."""
         return self._units_paid + n_comparisons <= self._budget_units
 
-    def pay(self, worker: WorkerId, n_comparisons: int = 1) -> float:
-        """Pay a worker for ``n_comparisons`` answered comparisons.
+    def pay(self, n_comparisons: int = 1) -> float:
+        """Pay for ``n_comparisons`` answered comparisons.
 
         Raises
         ------
@@ -76,20 +73,10 @@ class PaymentLedger:
                 f"{self._budget:.4f})"
             )
         self._units_paid += n_comparisons
-        self._earned_units[worker] = (
-            self._earned_units.get(worker, 0) + n_comparisons
-        )
         return n_comparisons * self._reward
-
-    def earnings(self) -> Dict[WorkerId, float]:
-        """Per-worker total earnings (copy)."""
-        return {
-            worker: units * self._reward
-            for worker, units in self._earned_units.items()
-        }
 
     def __repr__(self) -> str:
         return (
             f"PaymentLedger(spent={self.spent:.4f}, "
-            f"budget={self._budget:.4f}, workers={len(self._earned_units)})"
+            f"budget={self._budget:.4f})"
         )

@@ -19,7 +19,6 @@ from ..exceptions import AssignmentError
 from ..rng import SeedLike, ensure_rng
 from ..types import Ranking, Vote, VoteSet
 from ..workers.pool import WorkerPool
-from .events import EventLog
 from .pricing import PaymentLedger
 
 
@@ -32,14 +31,12 @@ class CrowdsourcingRun:
     votes:
         All collected votes.
     ledger:
-        The final payment ledger (spend, per-worker earnings).
-    events:
-        The full platform audit log.
+        The final payment ledger.  Only answered comparisons are paid,
+        so it has paid for exactly ``len(votes)`` comparisons.
     """
 
     votes: VoteSet
     ledger: PaymentLedger
-    events: EventLog
 
 
 class NonInteractivePlatform:
@@ -102,14 +99,12 @@ class NonInteractivePlatform:
                 f"but the platform universe has {len(self._truth)}"
             )
 
-        events = EventLog()
         ledger = PaymentLedger(
             budget=task_assignment.plan.budget.total,
             reward_per_comparison=task_assignment.plan.budget.reward,
         )
         votes: List[Vote] = []
         for hit, worker_ids in zip(task_assignment.hits, assignment.hit_workers):
-            events.record("publish", hit_id=hit.hit_id, pairs=len(hit))
             for worker_id in worker_ids:
                 if worker_id >= len(self._pool):
                     raise AssignmentError(
@@ -117,29 +112,13 @@ class NonInteractivePlatform:
                         f"{worker_id} (pool size {len(self._pool)})"
                     )
                 if dropout > 0.0 and generator.random() < dropout:
-                    events.record(
-                        "abandon", hit_id=hit.hit_id, worker=worker_id
-                    )
                     continue
                 worker = self._pool[worker_id]
                 for i, j in hit.pairs:
-                    vote = worker.vote(i, j, self._truth)
-                    votes.append(vote)
-                    events.record(
-                        "vote",
-                        hit_id=hit.hit_id,
-                        worker=worker_id,
-                        winner=vote.winner,
-                        loser=vote.loser,
-                    )
-                ledger.pay(worker_id, n_comparisons=len(hit))
-                events.record(
-                    "payment", worker=worker_id, comparisons=len(hit)
-                )
+                    votes.append(worker.vote(i, j, self._truth))
+                ledger.pay(n_comparisons=len(hit))
         self._closed = True
-        events.record("close", total_votes=len(votes), spent=ledger.spent)
         return CrowdsourcingRun(
             votes=VoteSet.from_votes(len(self._truth), votes),
             ledger=ledger,
-            events=events,
         )

@@ -77,9 +77,24 @@ class ScenarioSpec:
     level: str = "medium"
 
     def __post_init__(self) -> None:
+        for name in ("n_objects", "n_workers", "workers_per_task"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigurationError(
+                    f"scenario {name} must be an integer, got {value!r}"
+                )
         if self.n_objects < 2:
             raise ConfigurationError(
                 f"scenario needs at least 2 objects, got {self.n_objects}"
+            )
+        if self.n_workers < 1:
+            raise ConfigurationError(
+                f"scenario needs at least 1 worker, got {self.n_workers}"
+            )
+        if not 1 <= self.workers_per_task <= self.n_workers:
+            raise ConfigurationError(
+                f"workers_per_task must be in [1, n_workers={self.n_workers}]"
+                f", got {self.workers_per_task}"
             )
         if not 0 < self.selection_ratio <= 1:
             raise ConfigurationError(
@@ -253,8 +268,11 @@ def job_from_payload(payload: object, source: str = "<payload>") -> RankingJob:
     if not isinstance(job_id, str) or not job_id:
         raise DataFormatError(f"{source}: job_id must be a non-empty string")
     seed = payload.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        raise DataFormatError(f"{source}: seed must be an integer")
+    if seed is not None and (isinstance(seed, bool)
+                             or not isinstance(seed, int) or seed < 0):
+        raise DataFormatError(
+            f"{source}: seed must be a non-negative integer, got {seed!r}"
+        )
     votes: Optional[VoteSet] = None
     if "votes" in payload:
         votes = _votes_from_payload(payload["votes"], source)
@@ -282,10 +300,15 @@ def _votes_from_payload(raw: object, source: str) -> VoteSet:
         raise DataFormatError(f"{source}: votes must be an object")
     try:
         n_objects = int(raw["n_objects"])
-        votes = [
-            Vote(worker=int(w), winner=int(a), loser=int(b))
-            for w, a, b in raw["votes"]
-        ]
+        votes = []
+        for w, a, b in raw["votes"]:
+            winner, loser = int(a), int(b)
+            if not (0 <= winner < n_objects and 0 <= loser < n_objects):
+                raise ValueError(
+                    f"vote compares objects ({winner}, {loser}) outside "
+                    f"[0, {n_objects})"
+                )
+            votes.append(Vote(worker=int(w), winner=winner, loser=loser))
         return VoteSet.from_votes(n_objects, votes)
     except (KeyError, TypeError, ValueError, ConfigurationError) as error:
         raise DataFormatError(f"{source}: malformed votes ({error})") from None

@@ -43,7 +43,7 @@ class CrowdRankingOutcome:
     assignment:
         The generated task assignment (graph + HITs).
     run:
-        The platform round (votes, ledger, event log).
+        The platform round (votes and ledger).
     """
 
     result: InferenceResult

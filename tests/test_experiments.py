@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.budget import plan_for_selection_ratio
 from repro.config import FAST_PIPELINE
 from repro.datasets import make_scenario
 from repro.exceptions import ConfigurationError
@@ -44,7 +45,10 @@ class TestRunner:
     def test_crowdbt_arm(self, scenario):
         record = run_baseline_arm(scenario, "crowdbt", rng=1)
         assert record.algorithm == "crowdbt"
-        assert record.extras["queries"] > 0
+        # CrowdBT queries until the matched budget is spent.
+        plan = plan_for_selection_ratio(15, 0.5, workers_per_task=4)
+        afforded = int(plan.budget.total / plan.budget.reward + 1e-9)
+        assert record.extras["queries"] == afforded == 208
 
     def test_unknown_baseline_rejected(self, scenario, votes):
         with pytest.raises(ConfigurationError):

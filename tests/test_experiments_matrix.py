@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.budget import plan_for_selection_ratio
 from repro.cli import main
 from repro.exceptions import ConfigurationError
 from repro.experiments.matrix import (
@@ -11,6 +12,7 @@ from repro.experiments.matrix import (
     DEFAULT_ENGINES,
     ENGINES,
     NONINTERACTIVE_ENGINES,
+    REWARD,
     run_cell,
     run_matrix,
 )
@@ -65,6 +67,11 @@ class TestRunCell:
         cell = run_cell("spammer", "random", rounds=2, **SMALL)
         paired = run_cell("spammer", "borda", **SMALL)
         assert 0 < cell.votes_mean <= paired.votes_mean
+        plan = plan_for_selection_ratio(
+            SMALL["n_objects"], SMALL["selection_ratio"],
+            workers_per_task=SMALL["workers_per_task"], reward=REWARD)
+        afforded = int(plan.budget.total / REWARD + 1e-9)
+        assert cell.votes_mean == afforded == 66
 
     def test_row_and_payload(self):
         cell = run_cell("honest", "rc", **SMALL)

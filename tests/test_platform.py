@@ -1,4 +1,4 @@
-"""Unit tests for repro.platform (events, pricing, simulators)."""
+"""Unit tests for repro.platform (pricing, simulators)."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.assignment import assign_hits, generate_assignment
 from repro.budget import plan_for_selection_ratio
 from repro.exceptions import AssignmentError, BudgetError
 from repro.platform import (
-    EventLog,
     InteractivePlatform,
     NonInteractivePlatform,
     PaymentLedger,
@@ -15,51 +14,19 @@ from repro.types import Ranking
 from repro.workers import QualityLevel, WorkerPool, gaussian_preset
 
 
-class TestEventLog:
-    def test_sequence_monotone(self):
-        log = EventLog()
-        first = log.record("publish", hit=1)
-        second = log.record("vote", worker=0)
-        assert second.sequence == first.sequence + 1
-
-    def test_of_kind(self):
-        log = EventLog()
-        log.record("vote")
-        log.record("payment")
-        log.record("vote")
-        assert len(log.of_kind("vote")) == 2
-
-    def test_last(self):
-        log = EventLog()
-        assert log.last() is None
-        log.record("vote", worker=1)
-        log.record("payment")
-        assert log.last().kind == "payment"
-        assert log.last("vote").detail == {"worker": 1}
-        assert log.last("close") is None
-
-    def test_len_and_iter(self):
-        log = EventLog()
-        log.record("a")
-        log.record("b")
-        assert len(log) == 2
-        assert [e.kind for e in log] == ["a", "b"]
-
-
 class TestPaymentLedger:
     def test_pay_accumulates(self):
         ledger = PaymentLedger(budget=1.0, reward_per_comparison=0.1)
-        ledger.pay(worker=0, n_comparisons=3)
-        ledger.pay(worker=1)
+        ledger.pay(n_comparisons=3)
+        ledger.pay()
         assert ledger.spent == pytest.approx(0.4)
         assert ledger.remaining == pytest.approx(0.6)
-        assert ledger.earnings() == {0: pytest.approx(0.3), 1: pytest.approx(0.1)}
 
     def test_overdraw_rejected(self):
         ledger = PaymentLedger(budget=0.25, reward_per_comparison=0.1)
-        ledger.pay(worker=0, n_comparisons=2)
+        ledger.pay(n_comparisons=2)
         with pytest.raises(BudgetError):
-            ledger.pay(worker=0)
+            ledger.pay()
 
     def test_can_pay(self):
         ledger = PaymentLedger(budget=0.2, reward_per_comparison=0.1)
@@ -73,7 +40,7 @@ class TestPaymentLedger:
             PaymentLedger(budget=1, reward_per_comparison=0)
         ledger = PaymentLedger(budget=1, reward_per_comparison=0.1)
         with pytest.raises(BudgetError):
-            ledger.pay(worker=0, n_comparisons=0)
+            ledger.pay(n_comparisons=0)
 
 
 @pytest.fixture
@@ -122,14 +89,6 @@ class TestNonInteractivePlatform:
         with pytest.raises(AssignmentError):
             platform.run(worker_assignment)
 
-    def test_event_log_structure(self, run_inputs):
-        truth, pool, worker_assignment = run_inputs
-        run = NonInteractivePlatform(pool, truth).run(worker_assignment)
-        assert len(run.events.of_kind("close")) == 1
-        assert len(run.events.of_kind("vote")) == len(run.votes)
-        n_hits = worker_assignment.task_assignment.n_hits
-        assert len(run.events.of_kind("publish")) == n_hits
-
     def test_high_quality_pool_votes_mostly_truthful(self, run_inputs):
         truth, pool, worker_assignment = run_inputs
         run = NonInteractivePlatform(pool, truth).run(worker_assignment)
@@ -170,13 +129,3 @@ class TestInteractivePlatform:
         platform = InteractivePlatform(pool, truth, budget=1.0, rng=0)
         vote = platform.query(0, 1, worker_id=2)
         assert vote.worker == 2
-
-    def test_events_recorded(self):
-        truth = Ranking.random(4, rng=0)
-        pool = WorkerPool.from_distribution(
-            3, gaussian_preset(QualityLevel.HIGH), rng=0
-        )
-        platform = InteractivePlatform(pool, truth, budget=1.0, rng=0)
-        platform.query(0, 1)
-        platform.query(2, 3)
-        assert len(platform.events.of_kind("vote")) == 2

@@ -62,7 +62,6 @@ MODULES = SUBPACKAGES + [
     "repro.workers.worker",
     "repro.workers.pool",
     "repro.workers.behaviors",
-    "repro.platform.events",
     "repro.platform.pricing",
     "repro.platform.simulator",
     "repro.platform.interactive",

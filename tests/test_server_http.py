@@ -185,6 +185,14 @@ class TestRank:
         assert status == 400
         assert "unknown config field" in body["error"]
 
+    def test_out_of_range_vote_id_is_400(self, server):
+        # numpy would wrap -1 to the last object and rank the job.
+        status, body = _post(server.url + "/v1/rank",
+                             {"seed": 1, "votes": {"n_objects": 3,
+                                                   "votes": [[2, 0, -1]]}})
+        assert status == 400
+        assert "outside [0, 3)" in body["error"]
+
     def test_non_object_body_is_400(self, server):
         status, body = _post(server.url + "/v1/rank", [1, 2, 3])
         assert status == 400

@@ -108,6 +108,34 @@ class TestJobCodec:
                               "votes": {"n_objects": 3,
                                         "votes": [[0, 1, 1]]}})
 
+    @pytest.mark.parametrize("vote", [[2, 0, -1], [0, 7, 1]],
+                             ids=["negative", "past_n_objects"])
+    def test_out_of_range_vote_id_raises(self, vote):
+        with pytest.raises(DataFormatError, match=r"outside \[0, 3\)"):
+            job_from_payload({"schema": "repro.job/1", "job_id": "j",
+                              "votes": {"n_objects": 3,
+                                        "votes": [[0, 0, 1], vote]}})
+
+    @pytest.mark.parametrize("seed", [-1, True], ids=["negative", "bool"])
+    def test_seed_must_be_a_non_negative_integer(self, tiny_votes, seed):
+        payload = job_to_payload(RankingJob(job_id="j", votes=tiny_votes))
+        payload["seed"] = seed
+        with pytest.raises(DataFormatError, match="non-negative integer"):
+            job_from_payload(payload)
+
+    @pytest.mark.parametrize("fields", [
+        {"n_objects": 10.5},
+        {"n_workers": 0},
+        {"workers_per_task": 0},
+        {"n_workers": 3, "workers_per_task": 4},
+    ], ids=["fractional_n_objects", "no_workers", "no_workers_per_task",
+            "more_per_task_than_workers"])
+    def test_invalid_scenario_sizes_raise(self, fields):
+        scenario = dict({"n_objects": 10, "selection_ratio": 0.5}, **fields)
+        with pytest.raises(DataFormatError, match="invalid scenario"):
+            job_from_payload({"schema": "repro.job/1", "job_id": "j",
+                              "seed": 1, "scenario": scenario})
+
     def test_non_integer_seed_raises(self, tiny_votes):
         payload = job_to_payload(RankingJob(job_id="j", votes=tiny_votes))
         payload["seed"] = "soon"
