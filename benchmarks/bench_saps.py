@@ -1,11 +1,12 @@
 """Benchmark: SAPS annealing kernels and execution backends.
 
 Runs both kernels on the same random complete closures with the same
-seed at several sizes and writes ``BENCH_saps.json`` at the repo root:
-proposals/sec and wall time per kernel, the speedup, and hard equality
-checks (same best ranking, same cost to 1e-9, serial == parallel
-restarts) — so later PRs can track kernel performance and catch any
-divergence between the two implementations.
+seed at several sizes, at the shipped ``SAPSConfig()`` schedule, and
+writes ``BENCH_saps.json`` at the repo root: proposals/sec and wall
+time per kernel, the speedup, and hard equality checks (same best
+ranking, same cost to 1e-9, serial == parallel restarts) — so later PRs
+can track kernel performance and catch any divergence between the two
+implementations.
 
 A second sweep runs one heavy 4-restart workload per size on each
 execution backend (serial / process) and records the process-vs-serial
@@ -17,19 +18,23 @@ Production picks the kernel from the input (incremental on complete
 closures), so the reference runs go through the tests-only switch in
 ``tests/oracles/saps_reference.py``.
 
-``--smoke`` runs a tiny configuration with the drift check on (the
+``--smoke`` runs tiny configurations with the drift check on (the
 incremental kernel asserts running-cost == full re-sum after every
 accepted move) and exits non-zero if the kernels disagree or the
 incremental kernel is slower than 1.5x the reference — suitable for CI.
+Besides a short warm schedule it runs a cold one (``temperature=1e-3``),
+where long runs of rejected proposals make the incremental kernel
+screen whole windows in numpy, so CI checks the screen too.
 
 Not collected by pytest (no ``test_`` prefix) — run directly:
 
-    PYTHONPATH=src python benchmarks/bench_saps.py [--sizes 50 100 200 400]
+    PYTHONPATH=src python benchmarks/bench_saps.py [--sizes 200 400 1000]
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import os
@@ -81,19 +86,17 @@ def run_kernel(matrix: np.ndarray, config: SAPSConfig,
     }
 
 
-def bench_size(n: int, iterations: int, restarts: int, seed: int,
+def bench_size(n: int, config: SAPSConfig, schedule: str, seed: int,
                drift_check: bool) -> Dict[str, object]:
     matrix = random_closure(n, seed=n)
-    base = dict(iterations=iterations, restarts=restarts,
-                scale_with_objects=False)
     checks = drift_checks() if drift_check else nullcontext()
     with checks:
-        incremental = run_kernel(matrix, SAPSConfig(**base), seed)
+        incremental = run_kernel(matrix, config, seed)
         parallel = run_kernel(
-            matrix, SAPSConfig(**base, parallel_restarts=4), seed
+            matrix, dataclasses.replace(config, parallel_restarts=4), seed
         )
     with reference_kernel():
-        reference = run_kernel(matrix, SAPSConfig(**base), seed)
+        reference = run_kernel(matrix, config, seed)
     same_ranking = incremental["ranking"] == reference["ranking"]
     cost_gap = abs(incremental["log_preference"]
                    - reference["log_preference"])
@@ -105,8 +108,11 @@ def bench_size(n: int, iterations: int, restarts: int, seed: int,
                / reference["proposals_per_s"])
     return {
         "n": n,
-        "iterations": iterations,
-        "restarts": restarts,
+        "schedule": schedule,
+        "iterations": config.iterations,
+        "scale_with_objects": config.scale_with_objects,
+        "temperature": config.temperature,
+        "restarts": config.restarts,
         "incremental": {k: v for k, v in incremental.items()
                         if k != "ranking"},
         "reference": {k: v for k, v in reference.items() if k != "ranking"},
@@ -164,39 +170,42 @@ def backend_sweep(n: int, iterations: int, seed: int) -> Dict[str, object]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=int, nargs="+",
-                        default=[50, 100, 200, 400],
-                        help="closure sizes to benchmark")
-    parser.add_argument("--iterations", type=int, default=4000,
-                        help="anneal iterations per restart (default 4000)")
-    parser.add_argument("--restarts", type=int, default=2,
-                        help="restarts per run (default 2)")
-    parser.add_argument("--sweep-iterations", type=int, default=80000,
+                        default=[200, 400, 1000],
+                        help="closure sizes to benchmark at the shipped "
+                             "SAPSConfig() schedule")
+    parser.add_argument("--sweep-iterations", type=int, default=400000,
                         help="anneal iterations per restart in the "
-                             "execution-backend sweep (default 80000; "
+                             "execution-backend sweep (default 400000; "
                              "heavy on purpose so pool overhead is "
                              "amortised)")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--smoke", action="store_true",
-                        help="tiny CI mode: drift check on, asserts "
-                             "equality and no slowdown > 1.5x")
+                        help="tiny CI mode: drift check on, a warm and a "
+                             "cold schedule, asserts equality and no "
+                             "slowdown > 1.5x")
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_saps.json"),
                         help="output path (default <repo>/BENCH_saps.json)")
     args = parser.parse_args()
 
     if args.smoke:
         sizes: List[int] = [20, 40]
-        iterations = 500
+        warm = SAPSConfig(iterations=500, restarts=2,
+                          scale_with_objects=False)
+        cold = SAPSConfig(iterations=2000, restarts=2, temperature=1e-3,
+                          scale_with_objects=False)
+        cases = ([(n, warm, "smoke") for n in sizes]
+                 + [(sizes[-1], cold, "cold")])
     else:
         sizes = args.sizes
-        iterations = args.iterations
+        cases = [(n, SAPSConfig(), "shipped") for n in sizes]
 
     results = []
     failures = []
-    for n in sizes:
-        summary = bench_size(n, iterations, args.restarts, args.seed,
+    for n, config, schedule in cases:
+        summary = bench_size(n, config, schedule, args.seed,
                              drift_check=args.smoke)
         results.append(summary)
-        print(f"n={n}: incremental "
+        print(f"n={n} ({schedule}): incremental "
               f"{summary['incremental']['proposals_per_s']:,.0f} p/s, "
               f"reference "
               f"{summary['reference']['proposals_per_s']:,.0f} p/s, "
@@ -205,13 +214,14 @@ def main() -> int:
               f"cost_gap={summary['cost_gap']:.2e}, "
               f"serial==parallel {summary['serial_equals_parallel']}")
         if not summary["same_ranking"] or summary["cost_gap"] > 1e-9:
-            failures.append(f"n={n}: kernels disagree")
+            failures.append(f"n={n} ({schedule}): kernels disagree")
         if not summary["serial_equals_parallel"]:
-            failures.append(f"n={n}: parallel restarts changed the result")
+            failures.append(f"n={n} ({schedule}): parallel restarts "
+                            "changed the result")
         if args.smoke and summary["speedup"] < 1.0 / 1.5:
             failures.append(
-                f"n={n}: incremental kernel slower than 1.5x reference "
-                f"(speedup {summary['speedup']}x)"
+                f"n={n} ({schedule}): incremental kernel slower than "
+                f"1.5x reference (speedup {summary['speedup']}x)"
             )
 
     # The backend sweep needs enough work per restart that pool
@@ -240,9 +250,8 @@ def main() -> int:
         "smoke": args.smoke,
         "workload": {
             "sizes": sizes,
-            "iterations": iterations,
-            "restarts": args.restarts,
             "seed": args.seed,
+            "sweep_iterations": sweep_iterations,
         },
         "results": results,
         "backend_sweep": sweeps,

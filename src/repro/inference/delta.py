@@ -19,8 +19,13 @@ computed from those few edges instead of re-summing all ``n - 1``:
 * **Reverse(first, last)** — every internal edge flips direction, so
   the internal contribution is ``sum cost[b, a] - cost[a, b]`` over the
   old consecutive pairs ``(a, b)``, plus the two boundary swaps.  O(k)
-  for a slice of length ``k`` (the cost matrix is directed, so the
-  internal sum does not cancel).
+  for a slice of length ``k`` here (the cost matrix is directed, so the
+  internal sum does not cancel).  The SAPS screen makes it O(1): with
+  ``F`` the prefix sum of :func:`reverse_diff_matrix` along the path,
+  the internal sum is ``F[last-1] - F[first]``
+  (:mod:`repro.inference.saps`).  In the anneal the scalar functions
+  here are the exact check: they run on every proposal of the hot start
+  and afterwards only on the proposals the screen cannot reject.
 
 * **Swap(i, j)** — at most four edges change (three when ``i``/``j``
   are adjacent, zero when equal).  O(1) per proposal.
@@ -46,7 +51,7 @@ incomplete closure — must fall back to full re-evaluation, as
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -108,39 +113,24 @@ def rotate_delta(
     return delta
 
 
-#: Segment length above which :func:`reverse_delta` gathers the internal
-#: sum with numpy instead of a scalar loop.  The list-to-ndarray
-#: conversion plus fancy-indexing overhead only amortises on long
-#: segments; the crossover measured ~180 internal edges.
-_REVERSE_VECTOR_THRESHOLD = 192
-
-
 def reverse_delta(
     rows: Sequence[Sequence[float]],
     diff: Sequence[Sequence[float]],
     path: Sequence[int],
     first: int,
     last: int,
-    diff_matrix: Optional[np.ndarray] = None,
 ) -> float:
     """``d(P') - d(P)`` for Reverse(first, last); O(last - first).
 
     ``diff`` must be :func:`reverse_diff_matrix` of the same cost matrix
-    as ``rows``, as a nested list (``.tolist()``).  When ``diff_matrix`` (the same table as an
-    ndarray) is given, long segments switch to a vectorised gather —
-    the scalar loop wins below ~190 internal edges, numpy above.
+    as ``rows``, as a nested list (``.tolist()``).
     """
-    if (diff_matrix is not None
-            and last - first > _REVERSE_VECTOR_THRESHOLD):
-        seg = np.asarray(path[first:last], dtype=np.intp)
-        delta = float(diff_matrix[seg[:-1], seg[1:]].sum())
-    else:
-        delta = 0.0
-        prev = path[first]
-        for index in range(first + 1, last):
-            nxt = path[index]
-            delta += diff[prev][nxt]
-            prev = nxt
+    delta = 0.0
+    prev = path[first]
+    for index in range(first + 1, last):
+        nxt = path[index]
+        delta += diff[prev][nxt]
+        prev = nxt
     if first > 0:
         p = path[first - 1]
         delta += rows[p][path[last - 1]] - rows[p][path[first]]

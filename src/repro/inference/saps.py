@@ -19,11 +19,17 @@ picks between them (there is no option):
 
 * the **incremental** kernel runs on complete closures — every closure
   the pipeline and streaming sessions build, since Step 3 clips each
-  weight to at least ``1e-9``.  It scores each proposal by the
-  ``d(P') - d(P)`` of the few edges the move actually changes
-  (:mod:`repro.inference.delta`), applies accepted moves in place, and
-  re-syncs the running cost against a full re-sum every
-  ``_RESYNC_EVERY`` accepted moves to bound float drift;
+  weight to at least ``1e-9``.  It screens windows of upcoming
+  proposals in numpy against the current path — Rotate and RandomSwap
+  from their few boundary edges, Reverse in O(1) from a prefix sum
+  ``F`` of the reverse-diff along the path — and skips every proposal
+  the screen proves rejected.  Only the remaining candidates (about the
+  accepted ones, plus every proposal of the hot start, where accepts
+  come too often for a screen to pay) run the scalar ``d(P') - d(P)``
+  of :mod:`repro.inference.delta` and the exact acceptance test, so it
+  accepts the same moves as the reference kernel.  It applies accepted
+  moves in place and re-syncs the running cost against a full re-sum
+  every ``_RESYNC_EVERY`` accepted moves to bound float drift;
 * the **reference** kernel runs when any edge is missing, where
   ``+inf`` edge costs make deltas ill-defined.  It copies the path and
   re-sums all ``n - 1`` edges per proposal, which handles ``+inf``
@@ -72,8 +78,9 @@ from .delta import (
 from .taps import _as_matrix
 
 #: Iterations' worth of random draws pre-fetched per block by the
-#: incremental kernel (10 floats per iteration: 4 + 3 + 3).
-_RNG_BLOCK = 256
+#: incremental kernel (10 floats per iteration: 4 + 3 + 3).  A screen
+#: window never crosses a block.
+_RNG_BLOCK = 1024
 
 #: Floats consumed per iteration (Rotate 4, Reverse 3, RandomSwap 3).
 _DRAWS_PER_ITERATION = 10
@@ -81,6 +88,25 @@ _DRAWS_PER_ITERATION = 10
 #: Accepted moves between full re-sums of the incremental running cost.
 #: Each resync is O(n) and bounds the float drift of summed deltas.
 _RESYNC_EVERY = 512
+
+#: One screen (prefix-sum rebuild plus a window) costs about as much as
+#: this many exact checks on a short path.  The incremental kernel skips
+#: the screen and checks every proposal exactly while accepts come more
+#: often than the screen would pay for.
+_SCREEN_COST = 50
+
+#: Path length at which an exact check costs twice a short path's: the
+#: scalar Reverse sum is O(segment).
+_EXACT_COST_N = 100
+
+#: Weight of the newest gap in the running gap estimate.
+_GAP_SMOOTHING = 0.5
+
+#: Fewest iterations a screen window covers.
+_MIN_WINDOW = 8
+
+#: Relative margin of the screen's acceptance threshold.
+_SCREEN_RTOL = 1e-12
 
 #: When true, the incremental kernel asserts after *every* accepted move
 #: that the running cost matches a full re-sum (1e-9 relative).  O(n) per
@@ -328,19 +354,11 @@ class _RestartShared:
         self.config = config
         self._tables = None
 
-    def tables(self):
-        """(rows, diff, diff_matrix) for the incremental kernel.
-
-        Built on first use; the single-attribute assignment keeps the
-        lazy initialisation safe under concurrent restart threads.
-        """
-        tables = self._tables
-        if tables is None:
-            diff_matrix = reverse_diff_matrix(self.cost)
-            tables = (cost_rows(self.cost), diff_matrix.tolist(),
-                      diff_matrix)
-            self._tables = tables
-        return tables
+    def tables(self) -> "_KernelTables":
+        """The incremental kernel's tables, built on first use."""
+        if self._tables is None:
+            self._tables = _KernelTables(self.cost)
+        return self._tables
 
     def __getstate__(self):
         return (self.matrix, self.cost, self.kernel, self.iterations,
@@ -350,6 +368,56 @@ class _RestartShared:
         (self.matrix, self.cost, self.kernel, self.iterations,
          self.config) = state
         self._tables = None
+
+
+class _KernelTables:
+    """Cost tables of the incremental kernel, built once per run.
+
+    ``rows`` and ``diff`` are nested lists for the scalar exact check
+    (:mod:`repro.inference.delta`).  ``screen_cost`` and
+    ``screen_diff`` are the flat ``(n+1) x (n+1)`` cost and
+    reverse-diff tables of the vectorised screen: vertex ``n`` is a
+    sentinel that stands before and after the path with cost 0 to and
+    from every vertex, so the boundary terms of a move at either path
+    end vanish without masks, and the diagonal is zero so the
+    degenerate terms of an adjacent or identity swap read 0, not
+    ``inf``.
+
+    ``tol`` bounds ``|screen delta - scalar delta|`` for every move on
+    every path.  Both sum the same float terms, in different orders:
+    the scalar check sums Reverse's internal edges one by one, the
+    screen takes a difference of two prefix sums ``F``, and the <= 8
+    cost terms of a move are added in another order.  Summing ``m``
+    terms in any order errs by at most ``(m-1) * eps/2 * sum|terms|``
+    (Higham, Thm. 4.4); every ``|F|`` is at most
+    ``S = (n-1) * max|diff|`` and a cost term at most
+    ``C = max|cost|``, so the two deltas differ by at most
+    ``(1.5n + 8) eps S + 48 eps C``.  ``tol`` is more than twice that.
+    """
+
+    __slots__ = ("rows", "diff", "screen_cost", "screen_diff", "tol")
+
+    def __init__(self, cost: np.ndarray):
+        n = cost.shape[0]
+        diff = reverse_diff_matrix(cost)
+        finite = cost.copy()
+        np.fill_diagonal(finite, 0.0)
+        self.rows = cost_rows(cost)
+        self.diff = diff.tolist()
+        self.screen_cost = _with_sentinel(finite)
+        self.screen_diff = _with_sentinel(diff)
+        eps = float(np.finfo(np.float64).eps)
+        self.tol = 4.0 * (n + 16) * eps * (
+            (n - 1) * float(np.abs(diff).max())
+            + 8.0 * float(np.abs(finite).max()))
+
+
+def _with_sentinel(table: np.ndarray) -> np.ndarray:
+    """``table`` with a zero row and column appended, flattened."""
+    n = table.shape[0]
+    padded = np.zeros((n + 1, n + 1))
+    padded[:n, :n] = table
+    return padded.ravel()
 
 
 def _run_restart(task) -> Tuple[float, List[int], int, int]:
@@ -372,20 +440,196 @@ def _run_restart(task) -> Tuple[float, List[int], int, int]:
     if shared.kernel == "reference":
         return _anneal_reference(shared.cost, initial, shared.iterations,
                                  config, stream)
-    rows, diff, diff_matrix = shared.tables()
-    return _anneal_incremental(shared.cost, rows, diff, diff_matrix,
-                               initial, shared.iterations, config, stream)
+    return _anneal_incremental(shared.cost, shared.tables(), initial,
+                               shared.iterations, config, stream)
 
 
 # ---------------------------------------------------------------------------
 # Annealing kernels
 # ---------------------------------------------------------------------------
 
+class _Block:
+    """Every proposal of one pre-fetched RNG block, derived with numpy.
+
+    Indices, acceptance draws and temperatures are exactly what the
+    scalar draw-by-draw loop would compute (same float products, same
+    truncation, the same sequential ``T * c`` with the ``1e-300``
+    clamp); the scalar exact check reads them from plain lists.
+    Proposal ``k`` of the block is iteration ``k // 3``, move
+    ``k % 3`` (Rotate, Reverse, RandomSwap).
+    """
+
+    __slots__ = ("rf", "rm", "rl", "vf", "vl", "si", "sj", "u", "temps",
+                 "_arrays", "_screen")
+
+    def __init__(self, draws: np.ndarray, n: int, temperature: float,
+                 cooling: float):
+        draws = draws.reshape(-1, _DRAWS_PER_ITERATION)
+        rf = (draws[:, 0] * (n - 1)).astype(np.intp)
+        rl = rf + 2 + (draws[:, 1] * (n - rf - 1)).astype(np.intp)
+        rm = rf + 1 + (draws[:, 2] * (rl - rf - 1)).astype(np.intp)
+        vf = (draws[:, 4] * (n - 1)).astype(np.intp)
+        vl = vf + 2 + (draws[:, 5] * (n - vf - 1)).astype(np.intp)
+        si = (draws[:, 7] * n).astype(np.intp)
+        sj = (draws[:, 8] * n).astype(np.intp)
+        u = draws[:, 3::3]
+        # T_{t+1} = max(T_t * c, 1e-300): the unclamped running product
+        # agrees until it first drops below the clamp and stays below
+        # after, so clamping afterwards gives the same sequence.
+        temps = np.full(len(draws), cooling)
+        temps[0] = temperature
+        np.multiply.accumulate(temps, out=temps)
+        np.maximum(temps[1:], 1e-300, out=temps[1:])
+        self._arrays = (n, rf, rm, rl, vf, vl, si, sj, u, temps)
+        self.rf, self.rm, self.rl = rf.tolist(), rm.tolist(), rl.tolist()
+        self.vf, self.vl = vf.tolist(), vl.tolist()
+        self.si, self.sj = si.tolist(), sj.tolist()
+        self.u = u.ravel().tolist()
+        self.temps = temps.tolist()
+        self._screen = None
+
+    def screen_tables(self, tol: float):
+        """``(row, col, threshold)`` for :meth:`_Screen.candidates`,
+        built on first use (the hot start never screens).
+
+        ``row``/``col`` ``(iterations, 3, 8)`` locate the terms of each
+        proposal's delta, terms 0-3 added and 4-7 subtracted.  A cost
+        term ``cost[a, b]`` sits at ``scaled[row] + padded[col]`` with
+        ``row``/``col`` the padded positions of ``a``/``b`` (path
+        position ``p`` is padded position ``p + 1``; 0 and ``n + 1``
+        are the sentinel, so ``(0, 0)`` pads a slot with 0).  Reverse's
+        internal sum ``F[last-1] - F[first]`` takes two slots whose
+        ``row`` is ``n + 2 + position`` of ``F`` and ``col`` the zero
+        slot ``n + 2``.
+
+        ``threshold`` folds the acceptance draw into the delta:
+        Algorithm 3 rejects a move iff ``delta >= 0`` and
+        ``u >= exp(-delta / T)``, i.e. ``delta >= -T * ln(u)``.  A
+        screened delta at or above ``T * (-ln(u) + r) * (1 + r) + tol``
+        therefore has an exact delta of at least ``T * (-ln(u) + r)``,
+        and the margin ``r`` outweighs the few ulps ``np.log``,
+        ``math.exp`` and the division can differ by; ``u = 0`` gives an
+        infinite threshold, so it always reaches the exact check.
+        """
+        if self._screen is None:
+            n, rf, rm, rl, vf, vl, si, sj, u, temps = self._arrays
+            lo = np.minimum(si, sj)
+            hi = np.maximum(si, sj)
+            # An adjacent swap's successor of ``lo`` is ``hi`` itself;
+            # pointing that column at ``lo`` turns the two spurious
+            # terms into zero-diagonal reads.
+            s = lo + 2 - (hi == lo + 1)
+            z = np.zeros_like(rf)
+            f = np.full_like(rf, n + 2)
+            shape = (len(rf), 3, 8)
+            row = np.array((
+                # Rotate: +(e,a) +(p,m) +(b,q)  -(b,m) -(p,a) -(e,q)
+                rl, rf, rm, z, rm, rf, rl, z,
+                # Reverse: +(p,e) +(a,q) +F[last-1]  -(p,a) -(e,q) -F[first]
+                vf, vf + 1, f + vl - 1, z, vf, vl, f + vf, z,
+                # Swap: +(p,v) +(v,s) +(t,u) +(u,q)
+                #       -(p,u) -(u,s) -(t,v) -(v,q)
+                lo, hi + 1, hi, lo + 1, lo, lo + 1, hi, hi + 1,
+            )).T.reshape(shape).copy()
+            col = np.array((
+                rf + 1, rm + 1, rl + 1, z, rm + 1, rf + 1, rl + 1, z,
+                vl, vl + 1, f, z, vf + 1, vl + 1, f, z,
+                hi + 1, s, lo + 1, hi + 2, lo + 1, s, hi + 1, hi + 2,
+            )).T.reshape(shape).copy()
+            with np.errstate(divide="ignore"):
+                lnu = -np.log(u)
+            threshold = (temps[:, None] * (lnu + _SCREEN_RTOL)
+                         * (1.0 + _SCREEN_RTOL) + tol)
+            self._screen = (row, col, threshold)
+        return self._screen
+
+
+#: Signs of the eight delta terms of :meth:`_Block.screen_tables`.
+_TERM_SIGNS = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
+
+
+class _Screen:
+    """The vectorised screen of one restart.
+
+    Holds the path mirrored into numpy and the prefix sum ``F`` of the
+    reverse-diff along it (``F[i]`` sums the first ``i`` path edges, so
+    Reverse's internal sum is ``F[last-1] - F[first]``).  ``table`` is
+    the screen cost table followed by ``F``, so one gather reads every
+    term of a window.  ``padded`` is the path between two sentinels plus
+    a zero slot; ``scaled`` is ``padded`` times the table's row stride
+    followed by the offsets of ``F`` in ``table``.  Both go stale when
+    the list path moves and are rebuilt lazily, before the next screen.
+    """
+
+    __slots__ = ("n", "tol", "diff", "table", "prefix", "padded", "scaled",
+                 "path_stale", "prefix_stale")
+
+    def __init__(self, tables: _KernelTables, n: int):
+        stride = n + 1
+        self.n = n
+        self.tol = tables.tol
+        self.diff = tables.screen_diff
+        self.table = np.concatenate((tables.screen_cost, np.zeros(n)))
+        self.prefix = self.table[stride * stride:]
+        self.padded = np.full(n + 3, n, dtype=np.intp)
+        self.padded[n + 2] = 0
+        self.scaled = np.concatenate((self.padded[:n + 2] * stride,
+                                      stride * stride + np.arange(n)))
+        self.path_stale = True
+        self.prefix_stale = True
+
+    def refresh(self, path: List[int]) -> None:
+        """Rebuild whatever went stale: the numpy path from ``path``,
+        then ``scaled`` and ``F`` (O(n))."""
+        n = self.n
+        padded, scaled = self.padded, self.scaled
+        if self.path_stale:
+            padded[1:n + 1] = path
+            self.path_stale = False
+            self.prefix_stale = True
+        if self.prefix_stale:
+            np.multiply(padded[:n + 2], n + 1, out=scaled[:n + 2])
+            np.cumsum(self.diff.take(scaled[1:n] + padded[2:n + 1]),
+                      out=self.prefix[1:])
+            self.prefix_stale = False
+
+    def deltas(self, block: _Block, t0: int, t1: int) -> np.ndarray:
+        """``(t1 - t0, 3)`` screened deltas of iterations ``[t0, t1)``
+        on the current path, each within ``tol`` of the scalar one."""
+        row, col, _ = block.screen_tables(self.tol)
+        terms = self.table.take(self.scaled.take(row[t0:t1])
+                                + self.padded.take(col[t0:t1]))
+        return terms @ _TERM_SIGNS
+
+    def candidates(self, block: _Block, t0: int, t1: int) -> List[int]:
+        """Offsets (from proposal ``3 * t0``) of the proposals of
+        iterations ``[t0, t1)`` not surely rejected on the current
+        path."""
+        threshold = block.screen_tables(self.tol)[2]
+        return ((self.deltas(block, t0, t1) < threshold[t0:t1])
+                .ravel().nonzero()[0].tolist())
+
+    def mirror(self, block: _Block, k: int) -> None:
+        """Apply accepted proposal ``k`` of ``block`` to ``padded``."""
+        padded = self.padded
+        t, kind = divmod(k, 3)
+        if kind == 0:
+            first, middle, last = (block.rf[t] + 1, block.rm[t] + 1,
+                                   block.rl[t] + 1)
+            padded[first:last] = np.concatenate((padded[middle:last],
+                                                 padded[first:middle]))
+        elif kind == 1:
+            first, last = block.vf[t] + 1, block.vl[t] + 1
+            padded[first:last] = padded[first:last][::-1]
+        else:
+            i, j = block.si[t] + 1, block.sj[t] + 1
+            padded[i], padded[j] = padded[j], padded[i]
+        self.prefix_stale = True
+
+
 def _anneal_incremental(
     cost: np.ndarray,
-    rows: List[List[float]],
-    diff: List[List[float]],
-    diff_matrix: np.ndarray,
+    tables: _KernelTables,
     initial: np.ndarray,
     iterations: int,
     config: SAPSConfig,
@@ -393,15 +637,29 @@ def _anneal_incremental(
 ) -> Tuple[float, List[int], int, int]:
     """One restart with incremental move evaluation (the hot path).
 
-    The path lives in a Python list (scalar list-of-lists lookups beat
-    ``ndarray[a, b]`` severalfold in this loop); proposals cost
-    O(1)-O(k) boundary-edge lookups via :mod:`repro.inference.delta`;
-    accepted moves mutate the path in place; random draws come in
-    pre-fetched blocks (bit-identical to the reference kernel's scalar
-    draws).  Requires every off-diagonal cost to be finite — the caller
-    guarantees it.
+    Screen + exact check.  Draws come in pre-fetched blocks and are a
+    pure function of the iteration index, so a window of upcoming
+    proposals is scored against the current path in one numpy pass
+    (:class:`_Screen`); Reverse is O(1) there through the prefix sum
+    ``F``.  A proposal the screen marks *surely rejected* is skipped:
+    its screened delta clears the acceptance threshold by more than
+    the screen's rounding bound, so the scalar test would reject it
+    too.  Every other proposal runs the scalar
+    :mod:`repro.inference.delta` check and the ``math.exp`` test of the
+    reference kernel, so the accept/reject sequence is the reference
+    kernel's.  An accepted move ends the window; the next screen starts
+    at the following proposal.
+
+    While accepts come every few proposals (the hot start of the
+    schedule) a screen would be wasted, so every proposal goes straight
+    to the exact check; the window grows and shrinks with the observed
+    gap between accepts.
+
+    The path lives in a Python list for the scalar check.  Requires
+    every off-diagonal cost to be finite — the caller guarantees it.
     """
     n = len(initial)
+    rows, diff = tables.rows, tables.diff
     path: List[int] = [int(v) for v in initial]
     current = path_cost(cost, path)
     best_cost = current
@@ -412,6 +670,14 @@ def _anneal_incremental(
     cooling = config.cooling_rate
     debug = _DEBUG_CHECKS
     exp = math.exp
+    screen = _Screen(tables, n)
+    # Proposals between accepts below which exact checks beat a screen.
+    hot_gap = _SCREEN_COST / (1.0 + n / _EXACT_COST_N)
+    # Running estimate of the proposals between path-changing accepts,
+    # and the global index of the last such accept.
+    gap = 0.0
+    last_change = 0
+    base = 0
 
     def after_accept(delta: float) -> None:
         nonlocal current, best_cost, best_path, accepted, since_resync
@@ -431,50 +697,62 @@ def _anneal_incremental(
             best_cost = current
             best_path = list(path)
 
+    def exact(block: _Block, k: int) -> bool:
+        """Scalar check of proposal ``k``; True iff it moved the path."""
+        nonlocal gap, last_change
+        t, kind = divmod(k, 3)
+        if kind == 0:
+            first, middle, last = block.rf[t], block.rm[t], block.rl[t]
+            delta = rotate_delta(rows, path, first, middle, last)
+        elif kind == 1:
+            first, last = block.vf[t], block.vl[t]
+            delta = reverse_delta(rows, diff, path, first, last)
+        else:
+            first, last = block.si[t], block.sj[t]
+            delta = swap_delta(rows, path, first, last)
+        if not (delta < 0.0 or block.u[k] < exp(-delta / block.temps[t])):
+            return False
+        if kind == 0:
+            path[first:last] = path[middle:last] + path[first:middle]
+        elif kind == 1:
+            path[first:last] = path[first:last][::-1]
+        else:
+            path[first], path[last] = path[last], path[first]
+        after_accept(delta)
+        if kind == 2 and first == last:
+            return False  # an identity swap leaves the path as it was
+        gap += (base + k - last_change - gap) * _GAP_SMOOTHING
+        last_change = base + k
+        return True
+
     done = 0
     while done < iterations:
         todo = min(iterations - done, _RNG_BLOCK)
+        block = _Block(stream.random(_DRAWS_PER_ITERATION * todo), n,
+                       temperature, cooling)
+        total = 3 * todo
+        k = 0
+        while k < total:
+            if gap < hot_gap and base + k - last_change < hot_gap:
+                if exact(block, k):
+                    screen.path_stale = True
+                k += 1
+                continue
+            waited = max(gap, base + k - last_change)
+            screen.refresh(path)
+            t0 = k // 3
+            t1 = min(todo, t0 + max(_MIN_WINDOW, int(waited) // 3 + 1))
+            k_end = 3 * t1
+            for offset in screen.candidates(block, t0, t1):
+                c = 3 * t0 + offset
+                if c >= k and exact(block, c):
+                    screen.mirror(block, c)
+                    k_end = c + 1
+                    break
+            k = k_end
+        temperature = max(block.temps[-1] * cooling, 1e-300)
+        base += total
         done += todo
-        # .tolist(): scalar reads from a Python list are ~3x cheaper
-        # than ndarray item access, and this loop reads 10 per iteration.
-        block = stream.random(_DRAWS_PER_ITERATION * todo).tolist()
-        c = 0
-        for _ in range(todo):
-            # Rotate(first, middle, last)
-            first = int(block[c] * (n - 1))
-            last = first + 2 + int(block[c + 1] * (n - first - 1))
-            middle = first + 1 + int(block[c + 2] * (last - first - 1))
-            u = block[c + 3]
-            c += 4
-            delta = rotate_delta(rows, path, first, middle, last)
-            if delta < 0.0 or u < exp(-delta / temperature):
-                path[first:last] = path[middle:last] + path[first:middle]
-                after_accept(delta)
-
-            # Reverse(first, last)
-            first = int(block[c] * (n - 1))
-            last = first + 2 + int(block[c + 1] * (n - first - 1))
-            u = block[c + 2]
-            c += 3
-            delta = reverse_delta(rows, diff, path, first, last,
-                                  diff_matrix=diff_matrix)
-            if delta < 0.0 or u < exp(-delta / temperature):
-                path[first:last] = path[first:last][::-1]
-                after_accept(delta)
-
-            # RandomSwap(i, j)
-            i = int(block[c] * n)
-            j = int(block[c + 1] * n)
-            u = block[c + 2]
-            c += 3
-            delta = swap_delta(rows, path, i, j)
-            if delta < 0.0 or u < exp(-delta / temperature):
-                path[i], path[j] = path[j], path[i]
-                after_accept(delta)
-
-            temperature *= cooling
-            if temperature < 1e-300:
-                temperature = 1e-300
     return best_cost, best_path, accepted, 3 * iterations
 
 

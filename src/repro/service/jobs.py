@@ -299,16 +299,26 @@ def _votes_from_payload(raw: object, source: str) -> VoteSet:
     if not isinstance(raw, dict):
         raise DataFormatError(f"{source}: votes must be an object")
     try:
-        n_objects = int(raw["n_objects"])
+        n_objects = raw["n_objects"]
+        if type(n_objects) is not int:
+            raise ValueError(f"n_objects must be an integer, got "
+                             f"{n_objects!r}")
         votes = []
-        for w, a, b in raw["votes"]:
-            winner, loser = int(a), int(b)
+        for worker, winner, loser in raw["votes"]:
+            # ``type(...) is int`` also refuses bools; nothing is
+            # truncated from floats or parsed from strings.
+            if (type(worker) is not int or type(winner) is not int
+                    or type(loser) is not int):
+                raise ValueError(
+                    f"vote ids must be integers, got "
+                    f"{[worker, winner, loser]!r}"
+                )
             if not (0 <= winner < n_objects and 0 <= loser < n_objects):
                 raise ValueError(
                     f"vote compares objects ({winner}, {loser}) outside "
                     f"[0, {n_objects})"
                 )
-            votes.append(Vote(worker=int(w), winner=winner, loser=loser))
+            votes.append(Vote(worker=worker, winner=winner, loser=loser))
         return VoteSet.from_votes(n_objects, votes)
     except (KeyError, TypeError, ValueError, ConfigurationError) as error:
         raise DataFormatError(f"{source}: malformed votes ({error})") from None

@@ -395,7 +395,7 @@ def votes_from_payload(
     payload: object, source: str = "<payload>"
 ) -> List[Vote]:
     """Decode a votes array: ``[worker, winner, loser]`` triples (or
-    equivalent objects with those keys)."""
+    equivalent objects with those keys) of JSON integers."""
     if not isinstance(payload, list):
         raise DataFormatError(
             f"{source}: votes must be a JSON array"
@@ -404,13 +404,19 @@ def votes_from_payload(
     for index, item in enumerate(payload):
         try:
             if isinstance(item, dict):
-                vote = Vote(worker=int(item["worker"]),
-                            winner=int(item["winner"]),
-                            loser=int(item["loser"]))
+                worker, winner, loser = (item["worker"], item["winner"],
+                                         item["loser"])
             else:
                 worker, winner, loser = item
-                vote = Vote(worker=int(worker), winner=int(winner),
-                            loser=int(loser))
+            # ``type(...) is int`` also refuses bools; nothing is
+            # truncated from floats or parsed from strings.
+            if (type(worker) is not int or type(winner) is not int
+                    or type(loser) is not int):
+                raise ValueError(
+                    f"ids must be integers, got "
+                    f"{[worker, winner, loser]!r}"
+                )
+            vote = Vote(worker=worker, winner=winner, loser=loser)
         except (KeyError, ValueError, TypeError,
                 ConfigurationError) as error:
             raise DataFormatError(

@@ -193,6 +193,14 @@ class TestRank:
         assert status == 400
         assert "outside [0, 3)" in body["error"]
 
+    def test_non_integer_vote_id_is_400(self, server):
+        # int() would decode 3.9 objects as 3 and this vote as (1, 2, 0).
+        status, body = _post(server.url + "/v1/rank",
+                             {"seed": 1, "votes": {"n_objects": 3.9,
+                                                   "votes": [[True, 2, 0.2]]}})
+        assert status == 400
+        assert "must be an integer" in body["error"], body
+
     def test_non_object_body_is_400(self, server):
         status, body = _post(server.url + "/v1/rank", [1, 2, 3])
         assert status == 400

@@ -116,6 +116,21 @@ class TestJobCodec:
                               "votes": {"n_objects": 3,
                                         "votes": [[0, 0, 1], vote]}})
 
+    @pytest.mark.parametrize("votes", [
+        {"n_objects": 3.9, "votes": [[0, 0, 1]]},
+        {"n_objects": 3, "votes": [[0, 1.5, 0]]},
+        {"n_objects": 3, "votes": [[True, 2, 0]]},
+        {"n_objects": 3, "votes": [[1, 2, 0.2]]},
+        {"n_objects": 3, "votes": [["1", 2, 0]]},
+    ], ids=["float_n_objects", "float_winner", "bool_worker",
+            "float_loser", "string_worker"])
+    def test_non_integer_ids_raise(self, votes):
+        """Nothing is truncated: 3.9 objects or a vote (True, 2, 0.2)
+        must not decode as 3 objects or the vote (1, 2, 0)."""
+        with pytest.raises(DataFormatError, match="must be (an )?integers?"):
+            job_from_payload({"schema": "repro.job/1", "job_id": "j",
+                              "votes": votes})
+
     @pytest.mark.parametrize("seed", [-1, True], ids=["negative", "bool"])
     def test_seed_must_be_a_non_negative_integer(self, tiny_votes, seed):
         payload = job_to_payload(RankingJob(job_id="j", votes=tiny_votes))

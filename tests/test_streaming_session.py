@@ -259,6 +259,19 @@ class TestPayloadCodecs:
         with pytest.raises(DataFormatError):
             votes_from_payload(payload)
 
+    @pytest.mark.parametrize("payload", [
+        [[0, 1.5, 0]],
+        [[True, 2, 0]],
+        [[1, 2, 0.2]],
+        [{"worker": 1, "winner": 2.0, "loser": 0}],
+        [{"worker": 1, "winner": 2, "loser": False}],
+    ], ids=["float_winner", "bool_worker", "float_loser",
+            "float_object_key", "bool_object_key"])
+    def test_votes_from_payload_rejects_non_integer_ids(self, payload):
+        """Nothing is truncated: (True, 2, 0.2) is not the vote (1, 2, 0)."""
+        with pytest.raises(DataFormatError, match="must be integers"):
+            votes_from_payload(payload)
+
     def test_session_config_defaults_and_overrides(self):
         assert session_config_from_payload(None) == SessionConfig()
         config = session_config_from_payload({
